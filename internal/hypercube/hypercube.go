@@ -23,11 +23,8 @@ import (
 	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/flow"
 	"combining/internal/memory"
-	"combining/internal/network"
 	"combining/internal/par"
-	"combining/internal/recover"
 	"combining/internal/stats"
 	"combining/internal/word"
 )
@@ -58,7 +55,7 @@ type Config struct {
 	MemQueueCap int
 	// WatchdogCycles is the progress watchdog limit (see
 	// internal/network.Config.WatchdogCycles): 0 defaults to
-	// network.DefaultWatchdogCycles, negative disables.
+	// engine.DefaultWatchdogCycles, negative disables.
 	WatchdogCycles int64
 	// WaitBufCap bounds each node's wait buffer (0 disables combining).
 	WaitBufCap int
@@ -94,24 +91,6 @@ type revM struct {
 	issue int64
 	hot   bool
 	moved int64
-}
-
-// cubeHeldFwd is a request deferred by link-level reordering on its
-// terminal link (the node's combining queue → its memory module); it
-// re-enters the module at release, or one cycle later per cycle the
-// module is crashed or busy.
-type cubeHeldFwd struct {
-	release int64
-	node    int
-	m       fwdM
-}
-
-// cubeHeldRev is a reply deferred by link-level reordering on its
-// terminal link (the home node's router → its processor).
-type cubeHeldRev struct {
-	release int64
-	node    int
-	r       revM
 }
 
 type hrec struct {
@@ -203,15 +182,16 @@ func (s Stats) Bandwidth() float64 {
 	return float64(s.Completed) / float64(s.Cycles)
 }
 
-// Sim is the cycle-driven hypercube machine.
+// Sim is the cycle-driven hypercube machine.  The embedded Endpoint is the
+// machine's edge — processor ports, faults, the terminal links, completion
+// and the Run/Drain loop; Sim holds the routers and the node memories.
 type Sim struct {
-	cfg     Config
-	topo    engine.Direct // the link structure; all routing lives here
-	n, d    int           // node count and link degree
-	nodes   []*node
-	mem     *memory.Array
-	inj     []network.Injector
-	pending []*fwdM
+	engine.Endpoint[fwdM]
+
+	cfg   Config
+	topo  engine.Direct // the link structure; all routing lives here
+	n, d  int           // node count and link degree
+	nodes []*node
 	// meta preserves message metadata across the memory module.  It is
 	// sharded per node: module i's requests are fed and reaped only by node
 	// i's memory tick, so each shard has exactly one owner under the
@@ -219,39 +199,19 @@ type Sim struct {
 	meta []map[word.ReqID]fwdM
 	pol  core.Policy
 
-	cycle int64
-	stats Stats
-	// lat records per-completion round-trip latency in cycles; memQHW
-	// tracks the deepest per-node memory combining queue observed.
-	lat    stats.Histogram
+	// stats holds the interior counters (the endpoint folds in the
+	// port-side ones); memQHW tracks the deepest per-node memory combining
+	// queue observed.
+	stats  Stats
 	memQHW stats.HighWater
 
-	// wd is the progress watchdog; sat the tree-saturation monitor.
-	wd  *flow.Watchdog
-	sat flow.Saturation
-
-	// Fault-mode state (nil/zero on a healthy machine); see
-	// internal/network.Sim for the shared recovery discipline.
-	flt       *faults.Injector
-	trk       *faults.Tracker
-	retry     [][]fwdM
+	// stallMask caches this cycle's router stall decisions (fault plans
+	// only).  nodeMask holds this cycle's dead nodes (crash plans only): a
+	// Crashes window (Index = node) kills the whole node — router queues,
+	// wait buffer, memory combining queue and the module; a MemCrashes
+	// window kills the module alone (the endpoint's module mask).
 	stallMask []bool
-	orphans   int64
-	// Crash–restart state (nil/empty without crash windows): a Crashes
-	// window (Index = node) kills the whole node — router queues, wait
-	// buffer, memory combining queue and the module; a MemCrashes window
-	// kills the module alone.  Masks are advanced serially at the top of
-	// Step with edge detection (see internal/network.Sim.updateCrashState).
-	rec      *recover.Manager
-	nodeMask []bool
-	memMask  []bool
-	// Adversarial-delivery state (plan.HasAdversarial(); Validate rejects
-	// Workers > 1 with such plans): adv arms the integrity layer on the
-	// terminal links, and fwdLimbo/revLimbo hold reordered messages until
-	// their release cycle (drained serially at the top of Step).
-	adv      bool
-	fwdLimbo []cubeHeldFwd
-	revLimbo []cubeHeldRev
+	nodeMask  []bool
 
 	// Parallel memory-tick state (Config.Workers > 1, nil/empty
 	// otherwise): worker pool (persistent workers bracketed by
@@ -312,7 +272,7 @@ func (c *Config) normalize() error {
 		c.QueueCap = 4
 	}
 	if c.WatchdogCycles == 0 {
-		c.WatchdogCycles = network.DefaultWatchdogCycles
+		c.WatchdogCycles = engine.DefaultWatchdogCycles
 	}
 	if c.MemService == 0 {
 		c.MemService = 1
@@ -335,7 +295,7 @@ func (c Config) resolveTopology() engine.Direct {
 }
 
 // NewSim builds the machine with one injector per node.
-func NewSim(cfg Config, inj []network.Injector) *Sim {
+func NewSim(cfg Config, inj []engine.Injector) *Sim {
 	if err := cfg.normalize(); err != nil {
 		panic(err)
 	}
@@ -345,31 +305,17 @@ func NewSim(cfg Config, inj []network.Injector) *Sim {
 	topo := cfg.resolveTopology()
 	n := cfg.Nodes
 	d := topo.Degree()
-	memOpts := []memory.Option{memory.WithServiceTime(cfg.MemService)}
-	if cfg.Faults != nil {
-		memOpts = append(memOpts, memory.WithReplyCache())
-		if cfg.Faults.HasCrashes() {
-			memOpts = append(memOpts, memory.WithCheckpoints())
-		}
-		if cfg.Faults.Canary == "nodedup" {
-			memOpts = append(memOpts, memory.WithNoDedupCanary())
-		}
-	}
 	meta := make([]map[word.ReqID]fwdM, n)
 	for i := range meta {
 		meta[i] = make(map[word.ReqID]fwdM)
 	}
 	s := &Sim{
-		cfg:     cfg,
-		topo:    topo,
-		n:       n,
-		d:       d,
-		mem:     memory.NewArray(n, memOpts...),
-		inj:     inj,
-		pending: make([]*fwdM, n),
-		meta:    meta,
-		pol:     core.Policy{AllowReversal: cfg.AllowReversal},
-		wd:      flow.NewWatchdog(cfg.WatchdogCycles),
+		cfg:  cfg,
+		topo: topo,
+		n:    n,
+		d:    d,
+		meta: meta,
+		pol:  core.Policy{AllowReversal: cfg.AllowReversal},
 	}
 	if cfg.Workers > 1 {
 		s.pool = par.NewPool(cfg.Workers)
@@ -378,15 +324,9 @@ func NewSim(cfg Config, inj []network.Injector) *Sim {
 		s.delivBuf = make([][]revM, n)
 	}
 	if cfg.Faults != nil {
-		s.flt = faults.NewInjector(*cfg.Faults)
-		s.trk = faults.NewTracker(s.flt)
-		s.adv = s.flt.Plan().HasAdversarial()
-		s.retry = make([][]fwdM, n)
 		s.stallMask = make([]bool, n)
-		if plan := s.flt.Plan(); plan.HasCrashes() {
-			s.rec = recover.New(plan.CheckpointEvery)
+		if cfg.Faults.HasCrashes() {
 			s.nodeMask = make([]bool, n)
-			s.memMask = make([]bool, n)
 		}
 	}
 	s.nodes = make([]*node, n)
@@ -397,73 +337,65 @@ func NewSim(cfg Config, inj []network.Injector) *Sim {
 			wait: core.NewWaitBuffer[hrec](cfg.WaitBufCap),
 		}
 	}
+	s.Init(engine.Setup[fwdM]{
+		Name:        "hypercube",
+		Injectors:   inj,
+		Modules:     n,
+		MemOpts:     []memory.Option{memory.WithServiceTime(cfg.MemService)},
+		Faults:      cfg.Faults,
+		Watchdog:    cfg.WatchdogCycles,
+		Pool:        s.pool,
+		Step:        s.Step,
+		Occupancy:   s.occupancy,
+		StallDetail: s.stallDetail,
+		Req:         fwdMReq,
+		File:        func(i int, m fwdM) { s.meta[i][m.req.ID] = m },
+		// A released request waits for a live module with an empty queue:
+		// the combining queue feeds the module one request at a time.
+		ModuleReady: func(i int) bool { return !s.modDead(i) && s.Memory().Module(i).QueueLen() == 0 },
+		MemSite:     func(i int) uint64 { return faults.Site(2, i, 0) },
+		ProcSite:    func(i int) uint64 { return faults.Site(3, i, 0) },
+	})
 	return s
 }
 
-// Memory exposes the distributed shared memory.
-func (s *Sim) Memory() *memory.Array { return s.mem }
-
 // homeOf returns the node owning an address.
-func (s *Sim) homeOf(addr word.Addr) int { return s.mem.HomeOf(addr) }
+func (s *Sim) homeOf(addr word.Addr) int { return s.Memory().HomeOf(addr) }
 
 // Topology exposes the link structure the machine was built with.
 func (s *Sim) Topology() engine.Direct { return s.topo }
 
 // Step advances one cycle.
 func (s *Sim) Step() {
-	s.cycle++
-	s.stats.Cycles++
-	if s.flt != nil {
+	s.StartCycle()
+	if s.stallMask != nil {
 		for i := range s.stallMask {
-			s.stallMask[i] = s.flt.Stalled(0, i, s.cycle)
+			s.stallMask[i] = s.Faults().Stalled(0, i, s.Cycle())
 		}
-		if s.rec != nil {
+		if s.nodeMask != nil {
 			s.updateCrashState()
 		}
-		for _, p := range s.trk.Expired(s.cycle) {
-			s.retry[p.Proc] = append(s.retry[p.Proc],
-				fwdM{req: p.Req, src: p.Proc, issue: p.IssueCycle, hot: p.Hot})
-		}
-		if s.adv {
-			s.drainLimbo()
-		}
 	}
+	s.Redrive()
 	s.drainReverse()
 	s.tickMemory()
 	s.drainForward()
 	s.injectAll()
-
-	s.sat.Observe(s.treeSaturated())
-	s.stats.SaturationCycles = s.sat.Cycles()
-	s.stats.SaturationMaxStreak = s.sat.MaxStreak()
-	if s.wd.Observe(s.cycle, s.InFlight(), s.progressSig()) {
-		s.stats.WatchdogTrips++
-	}
+	s.EndCycle(s.treeSaturated(),
+		s.stats.FwdHops+s.stats.RevHops+s.stats.MemOps+s.LinkEnqueued())
 }
 
-// updateCrashState advances the crash–restart masks one cycle (serial, with
-// edge detection, as in internal/network).  A node crash flushes the whole
-// node — router queues, wait buffer, memory combining queue and the module;
-// a memory crash rolls back the module alone while the router keeps
+// updateCrashState advances the crash masks one cycle, node i's router
+// and then its module, node by node.  A node crash flushes the whole node
+// — router queues, wait buffer, memory combining queue and the module; a
+// memory crash rolls back the module alone while the router keeps
 // forwarding through traffic.
 func (s *Sim) updateCrashState() {
 	for i := 0; i < s.n; i++ {
-		dead := s.flt.SwitchCrashed(0, i, s.cycle)
-		if dead && !s.nodeMask[i] {
-			s.rec.NoteCrash()
-			s.rec.NoteLost(s.trk, s.crashNode(i))
-		} else if !dead && s.nodeMask[i] {
-			s.rec.NoteRestore()
+		if s.CrashEdge(s.Faults().SwitchCrashed(0, i, s.Cycle()), &s.nodeMask[i]) {
+			s.Lost(s.crashNode(i))
 		}
-		s.nodeMask[i] = dead
-		mdead := s.flt.MemCrashed(i, s.cycle)
-		if mdead && !s.memMask[i] {
-			s.rec.NoteCrash()
-			s.rec.NoteLost(s.trk, s.mem.Module(i).Crash())
-		} else if !mdead && s.memMask[i] {
-			s.rec.NoteRestore()
-		}
-		s.memMask[i] = mdead
+		s.ModuleEdge(i)
 	}
 }
 
@@ -511,18 +443,16 @@ func (s *Sim) crashNode(i int) []word.ReqID {
 			ids = append(ids, lf.ID)
 		}
 	}
-	ids = append(ids, s.mem.Module(i).Crash()...)
+	ids = append(ids, s.Memory().Module(i).Crash()...)
 	return ids
 }
 
 // nodeDead reports whether node i's router is crashed this cycle.
-func (s *Sim) nodeDead(i int) bool { return s.rec != nil && s.nodeMask[i] }
+func (s *Sim) nodeDead(i int) bool { return s.nodeMask != nil && s.nodeMask[i] }
 
 // modDead reports whether node i's module is crashed this cycle (a dead
 // node takes its module down with it).
-func (s *Sim) modDead(i int) bool {
-	return s.rec != nil && (s.memMask[i] || s.nodeMask[i])
-}
+func (s *Sim) modDead(i int) bool { return s.ModDead(i) || s.nodeDead(i) }
 
 // treeSaturated reports whether hot-spot backpressure has propagated out of
 // a memory queue into the routing network this cycle: some node's memory
@@ -547,26 +477,8 @@ func (s *Sim) treeSaturated() bool {
 	return false
 }
 
-// progressSig is the watchdog's monotone progress signature: injections,
-// hops, memory feeds and service cycles, completions, and fault events all
-// change it (see internal/network.Sim.progressSig).
-func (s *Sim) progressSig() int64 {
-	sig := s.stats.Issued + s.stats.Completed + s.stats.FwdHops +
-		s.stats.RevHops + s.stats.MemOps + s.orphans
-	for i := 0; i < s.n; i++ {
-		sig += s.mem.Module(i).BusyCycles
-	}
-	if s.flt != nil {
-		sig += s.flt.Injected()
-	}
-	return sig
-}
-
-// Stalled reports whether the progress watchdog has tripped.
-func (s *Sim) Stalled() bool { return s.wd.Tripped() }
-
-// StallReport formats the watchdog diagnostic with a queue snapshot.
-func (s *Sim) StallReport() string {
+// stallDetail is the hypercube's part of the stall report.
+func (s *Sim) stallDetail() string {
 	fwd, rev, memq, wait := 0, 0, 0, 0
 	for _, nd := range s.nodes {
 		for dim := 0; dim < s.d; dim++ {
@@ -580,36 +492,24 @@ func (s *Sim) StallReport() string {
 	for _, shard := range s.meta {
 		metaN += len(shard)
 	}
-	detail := fmt.Sprintf("fwd=%d rev=%d memq=%d wait=%d meta=%d", fwd, rev, memq, wait, metaN)
-	crashed := ""
-	if s.flt != nil {
-		crashed = s.flt.ActiveCrashes(s.wd.TripCycle())
-	}
-	return flow.StallReport("hypercube", s.wd, s.InFlight(), crashed, detail)
+	return fmt.Sprintf("fwd=%d rev=%d memq=%d wait=%d meta=%d", fwd, rev, memq, wait, metaN)
 }
 
-// Run advances the given number of cycles, stopping early if the watchdog
-// trips.  A parallel machine starts its persistent pool workers here, once
-// per Run, and retires them on return.
-func (s *Sim) Run(cycles int) {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < cycles; i++ {
-		if s.wd.Tripped() {
-			return
-		}
-		s.Step()
-	}
+// Stats snapshots the run counters, folding in the endpoint's.
+func (s *Sim) Stats() Stats {
+	st := s.stats
+	t := s.Tally()
+	st.Cycles, st.Issued, st.Completed, st.LatencySum = t.Cycles, t.Issued, t.Completed, t.LatencySum
+	st.SaturationCycles, st.SaturationMaxStreak = t.SaturationCycles, t.SaturationMaxStreak
+	st.WatchdogTrips = t.WatchdogTrips
+	st.MemOps += s.LinkEnqueued()
+	return st
 }
-
-// Stats snapshots the run counters.
-func (s *Sim) Stats() Stats { return s.stats }
 
 // Snapshot captures the run's instrumentation behind the shared
 // cross-engine API (see internal/stats).
 func (s *Sim) Snapshot() stats.Snapshot {
+	st := s.Stats()
 	var rejects int64
 	maxRev := 0
 	for _, nd := range s.nodes {
@@ -618,67 +518,26 @@ func (s *Sim) Snapshot() stats.Snapshot {
 			maxRev = nd.maxRev
 		}
 	}
-	snap := stats.Snapshot{
-		Engine: "hypercube",
-		Counters: engine.Counters{
-			Cycles:           s.stats.Cycles,
-			Issued:           s.stats.Issued,
-			Completed:        s.stats.Completed,
-			Replies:          s.stats.Completed,
-			Combines:         s.stats.Combines,
-			CombineRejects:   rejects,
-			MemOps:           s.stats.MemOps,
-			FwdHops:          s.stats.FwdHops,
-			RevHops:          s.stats.RevHops,
-			SaturationCycles: s.stats.SaturationCycles,
-			HoldsRev:         s.stats.HoldsRev,
-			HoldsMem:         s.stats.HoldsMem,
-			HoldsMemOut:      s.stats.HoldsMemOut,
-			WatchdogTrips:    s.stats.WatchdogTrips,
-			Checkpoints:      s.stats.Checkpoints,
-		}.Map(),
-		Gauges: map[string]int64{
-			"memq_max":              s.memQHW.Load(),
-			"max_mem_queue":         s.memQHW.Load(),
-			"max_rev_queue":         int64(maxRev),
-			"saturation_max_streak": s.stats.SaturationMaxStreak,
-		},
-		Histograms: map[string]stats.HistogramSnapshot{
-			"latency_cycles": s.lat.Snapshot(),
-		},
-	}
-	if s.flt != nil {
-		faults.AddCounters(&snap, s.flt, s.trk, s.mem.TotalDedupHits(), s.orphans, s.rec.Counters())
-	}
-	return snap
+	return s.BuildSnapshot(engine.Counters{
+		Combines:       st.Combines,
+		CombineRejects: rejects,
+		MemOps:         st.MemOps,
+		FwdHops:        st.FwdHops,
+		RevHops:        st.RevHops,
+		HoldsRev:       st.HoldsRev,
+		HoldsMem:       st.HoldsMem,
+		HoldsMemOut:    st.HoldsMemOut,
+		Checkpoints:    st.Checkpoints,
+	}, map[string]int64{
+		"memq_max":      s.memQHW.Load(),
+		"max_mem_queue": s.memQHW.Load(),
+		"max_rev_queue": int64(maxRev),
+	})
 }
 
-// Recovery exposes the crash–restart ledger (nil without crash windows).
-func (s *Sim) Recovery() *recover.Manager { return s.rec }
-
-// Faults exposes the fault injector (nil on a healthy machine).
-func (s *Sim) Faults() *faults.Injector { return s.flt }
-
-// Tracker exposes the exactly-once delivery ledger (nil on a healthy
-// machine).
-func (s *Sim) Tracker() *faults.Tracker { return s.trk }
-
-// Orphans reports replies that arrived with no request metadata (fault mode
-// only).
-func (s *Sim) Orphans() int64 { return s.orphans }
-
-// InFlight counts requests anywhere in the machine.  Under a fault plan the
-// tracker's ledger answers instead (see internal/network.Sim.InFlight).
-func (s *Sim) InFlight() int {
-	if s.trk != nil {
-		return s.trk.Outstanding()
-	}
+// occupancy counts the messages inside the routers and memories.
+func (s *Sim) occupancy() int {
 	n := 0
-	for _, p := range s.pending {
-		if p != nil {
-			n++
-		}
-	}
 	for _, nd := range s.nodes {
 		for dim := 0; dim < s.d; dim++ {
 			n += len(nd.out[dim]) + len(nd.rout[dim])
@@ -687,29 +546,9 @@ func (s *Sim) InFlight() int {
 		n += nd.wait.Len()
 	}
 	for i := 0; i < s.n; i++ {
-		n += s.mem.Module(i).QueueLen()
+		n += s.Memory().Module(i).QueueLen()
 	}
 	return n
-}
-
-// Drain runs until empty or the bound is hit, reporting success.  A
-// watchdog trip ends the drain immediately: a stalled machine will not
-// empty no matter how many more cycles it is given.
-func (s *Sim) Drain(maxCycles int) bool {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < maxCycles; i++ {
-		if s.wd.Tripped() {
-			return false
-		}
-		s.Step()
-		if s.InFlight() == 0 {
-			return true
-		}
-	}
-	return s.InFlight() == 0
 }
 
 // arriveFwd lands a request at node cur: into the memory combining queue
@@ -763,7 +602,7 @@ func (s *Sim) arriveFwd(cur int, m fwdM) bool {
 		}
 		return false
 	}
-	m.moved = s.cycle
+	m.moved = s.Cycle()
 	*q = append(*q, m)
 	if dim < 0 {
 		s.memQHW.Observe(int64(len(*q)))
@@ -797,7 +636,7 @@ func (s *Sim) arriveRev(cur int, r revM, sink *[]revM) {
 		s.deliverHome(cur, r)
 		return
 	}
-	r.moved = s.cycle
+	r.moved = s.Cycle()
 	nd := s.nodes[cur]
 	nd.rout[dim] = append(nd.rout[dim], r)
 	if n := len(nd.rout[dim]); n > nd.maxRev {
@@ -805,134 +644,16 @@ func (s *Sim) arriveRev(cur int, r revM, sink *[]revM) {
 	}
 }
 
-// memEnter crosses the adversarial terminal link into node i's module:
-// the request is stamped at the last trusted hop (combining finished in
-// the node's combining queue), possibly corrupted on the wire, verified,
-// and quarantined on mismatch; the retransmit machinery then repairs the
-// loss exactly-once.  The duplicate draw comes after verification so
-// dup_injected counts only messages that actually entered twice; the
-// second copy is answered from the reply cache and its reply orphans.
-func (s *Sim) memEnter(i int, m fwdM, memOps *int64) {
-	m.req = core.StampRequest(m.req)
-	wire := m.req
-	site := faults.Site(2, i, 0)
-	if mask := s.flt.CorruptMask(site, m.req.ID, m.req.Attempt); mask != 0 {
-		wire = core.CorruptRequest(wire, mask)
-	}
-	if !core.RequestOK(wire) {
-		s.flt.NoteCorruptDropped()
-		return // quarantined: equivalent to a detected drop on this link
-	}
-	s.meta[i][wire.ID] = m
-	s.mem.Module(i).Enqueue(wire)
-	*memOps++
-	if s.flt.Duplicate(site, wire.ID, wire.Attempt) && s.mem.Module(i).CanEnqueue() {
-		// The duplicate deep-copies its Srcs/Reps slices — a shallow
-		// second enqueue would share backing arrays with the first.
-		s.mem.Module(i).Enqueue(wire.Clone())
-		*memOps++
-	}
-}
-
-// drainLimbo releases reordered messages whose deferral has elapsed.  It
-// runs serially at the top of Step — Validate rejects adversarial plans
-// with Workers > 1 — so release order is defined by the serial sweep.  A
-// forward release finding its module crashed or busy re-holds one cycle
-// (the deferral bound is on the adversarial link, not on ordinary
-// backpressure), and held messages are never re-reordered.
-func (s *Sim) drainLimbo() {
-	if len(s.fwdLimbo) > 0 {
-		keep := s.fwdLimbo[:0]
-		for _, h := range s.fwdLimbo {
-			if h.release > s.cycle {
-				keep = append(keep, h)
-				continue
-			}
-			if s.modDead(h.node) || s.mem.Module(h.node).QueueLen() != 0 {
-				h.release = s.cycle + 1
-				keep = append(keep, h)
-				continue
-			}
-			s.memEnter(h.node, h.m, &s.stats.MemOps)
-		}
-		s.fwdLimbo = keep
-	}
-	if len(s.revLimbo) > 0 {
-		keep := s.revLimbo[:0]
-		for _, h := range s.revLimbo {
-			if h.release > s.cycle {
-				keep = append(keep, h)
-				continue
-			}
-			s.deliverHomeVerified(h.node, h.r)
-		}
-		s.revLimbo = keep
-	}
-}
-
-// deliverHome completes a reply at its requesting node.  Under an
-// adversarial plan the router→processor handoff is the terminal link:
-// the reply is stamped here — the last trusted hop — then possibly
-// deferred, duplicated, or corrupted before deliverHomeVerified checks it.
+// deliverHome hands a reply at its requesting node to the endpoint; under
+// an adversarial plan the router→processor handoff is the reply link.
 func (s *Sim) deliverHome(cur int, r revM) {
-	if s.adv {
-		r.rep = core.StampReply(r.rep)
-		site := faults.Site(3, cur, 0)
-		if d := s.flt.ReorderDelay(site, r.rep.ID, r.rep.Attempt); d > 0 {
-			s.revLimbo = append(s.revLimbo,
-				cubeHeldRev{release: s.cycle + d, node: cur, r: r})
-			return
-		}
-		s.deliverHomeVerified(cur, r)
-		return
-	}
-	s.deliverHomeCommon(cur, r)
-}
-
-// deliverHomeVerified is the processor side of the adversarial terminal
-// link: corrupt on the wire, verify, quarantine on mismatch (the
-// processor retransmits and the reply cache answers), and deliver —
-// twice when the link duplicates, with the tracker suppressing the
-// second copy.
-func (s *Sim) deliverHomeVerified(cur int, r revM) {
-	site := faults.Site(3, cur, 0)
-	wire := r.rep
-	if mask := s.flt.CorruptMask(site, wire.ID, wire.Attempt); mask != 0 {
-		wire = core.CorruptReply(wire, mask)
-	}
-	if !core.ReplyOK(wire) {
-		s.flt.NoteCorruptDropped()
-		return // quarantined: the retransmit machinery re-drives the op
-	}
-	r.rep = wire
-	if s.flt.Duplicate(site, wire.ID, wire.Attempt) {
-		// The duplicate's reply must own its Leaves map: a shallow copy
-		// shares it with the original (see core.Reply.Clone).
-		dup := r
-		dup.rep = r.rep.Clone()
-		s.deliverHomeCommon(cur, dup)
-	}
-	s.deliverHomeCommon(cur, r)
-}
-
-func (s *Sim) deliverHomeCommon(cur int, r revM) {
-	if s.trk != nil {
-		if _, ok := s.trk.Deliver(r.rep.ID, s.cycle); !ok {
-			return // duplicate of an already-delivered reply; suppressed
-		}
-	}
-	if s.rec != nil {
-		s.rec.NoteDelivered(r.rep.ID)
-	}
-	s.stats.Completed++
-	s.stats.LatencySum += s.cycle - r.issue
-	s.lat.Record(s.cycle - r.issue)
-	s.inj[cur].Deliver(r.rep, s.cycle)
+	s.Deliver(engine.Delivery{Rep: r.rep, Proc: cur, Issue: r.issue, Hot: r.hot})
 }
 
 func (s *Sim) drainReverse() {
+	flt := s.Faults()
 	for i, nd := range s.nodes {
-		if s.flt != nil && s.stallMask[i] {
+		if s.stallMask != nil && s.stallMask[i] {
 			continue // stalled router moves nothing this cycle
 		}
 		if s.nodeDead(i) {
@@ -940,7 +661,7 @@ func (s *Sim) drainReverse() {
 		}
 		for dim := 0; dim < s.d; dim++ {
 			q := nd.rout[dim]
-			if len(q) == 0 || q[0].moved == s.cycle {
+			if len(q) == 0 || q[0].moved == s.Cycle() {
 				continue
 			}
 			next := s.topo.Neighbor(i, dim)
@@ -961,9 +682,9 @@ func (s *Sim) drainReverse() {
 			r := q[0]
 			copy(q, q[1:])
 			nd.rout[dim] = q[:len(q)-1]
-			if s.flt != nil && (s.flt.DropReply(
+			if flt != nil && (flt.DropReply(
 				faults.Site(1, next, dim), r.rep.ID, r.rep.Attempt) ||
-				s.flt.DropLinkRev(1, next, s.cycle)) {
+				flt.DropLinkRev(1, next, s.Cycle())) {
 				continue // reply lost on the reverse link
 			}
 			s.stats.RevHops++
@@ -977,9 +698,11 @@ func (s *Sim) tickMemory() {
 		s.tickMemoryParallel()
 		return
 	}
+	var orphans int64
 	for i := 0; i < s.n; i++ {
-		s.tickNode(i, &s.stats.MemOps, &s.stats.HoldsMemOut, &s.orphans, &s.stats.Checkpoints, nil)
+		s.tickNode(i, &s.stats.MemOps, &s.stats.HoldsMemOut, &orphans, &s.stats.Checkpoints, nil)
 	}
+	s.AddOrphans(orphans)
 }
 
 // tickMemoryParallel shards the memory tick across the pool: every node's
@@ -999,7 +722,7 @@ func (s *Sim) tickMemoryParallel() {
 		sh := &s.shards[i]
 		s.stats.MemOps += sh.memOps
 		s.stats.HoldsMemOut += sh.holdsMemOut
-		s.orphans += sh.orphans
+		s.AddOrphans(sh.orphans)
 		s.stats.Checkpoints += sh.ckpts
 		*sh = cubeShard{}
 	}
@@ -1026,34 +749,30 @@ func (s *Sim) tickNode(i int, memOps, holdsMemOut, orphans, ckpts *int64, sink *
 	if s.nodeDead(i) {
 		return // crashed node: no feed, no service, no emission
 	}
-	if s.rec != nil && s.rec.CheckpointDue(s.cycle) && !s.modDead(i) {
-		s.mem.Module(i).Checkpoint()
+	md := s.Memory().Module(i)
+	if s.CheckpointDue() && !s.modDead(i) {
+		md.Checkpoint()
 		*ckpts++
 	}
 	if s.modDead(i) {
 		return // crashed module: the router forwards, memory serves nothing
 	}
 	nd := s.nodes[i]
-	routerUp := s.flt == nil || !s.stallMask[i]
-	if routerUp && len(nd.memQ) > 0 && s.mem.Module(i).QueueLen() == 0 {
+	routerUp := s.stallMask == nil || !s.stallMask[i]
+	if routerUp && len(nd.memQ) > 0 && md.QueueLen() == 0 {
 		m := nd.memQ[0]
 		copy(nd.memQ, nd.memQ[1:])
 		nd.memQ = nd.memQ[:len(nd.memQ)-1]
-		if s.adv {
-			if d := s.flt.ReorderDelay(faults.Site(2, i, 0),
-				m.req.ID, m.req.Attempt); d > 0 {
-				s.fwdLimbo = append(s.fwdLimbo,
-					cubeHeldFwd{release: s.cycle + d, node: i, m: m})
-			} else {
-				s.memEnter(i, m, memOps)
-			}
+		if s.Adversarial() {
+			s.MemLink(i, m)
 		} else {
 			s.meta[i][m.req.ID] = m
-			s.mem.Module(i).Enqueue(m.req)
+			md.Enqueue(m.req)
 			*memOps++
 		}
 	}
-	if s.flt != nil && s.flt.MemStalled(i, s.cycle) {
+	flt := s.Faults()
+	if flt != nil && flt.MemStalled(i, s.Cycle()) {
 		return // module inside a slowdown window serves nothing
 	}
 	if !nd.canAcceptRev(s.cfg.RevQueueCap) {
@@ -1062,29 +781,30 @@ func (s *Sim) tickNode(i int, memOps, holdsMemOut, orphans, ckpts *int64, sink *
 		*holdsMemOut++
 		return
 	}
-	rep, ok := s.mem.Module(i).Tick()
+	rep, ok := md.Tick()
 	if !ok {
 		return
 	}
 	m, found := s.meta[i][rep.ID]
 	if !found {
-		if s.flt != nil {
+		if flt != nil {
 			*orphans++ // losing copy of an original/retransmit pair
 			return
 		}
 		panic(fmt.Sprintf("hypercube: cycle %d, node %d: reply id %d (%v) without metadata",
-			s.cycle, i, rep.ID, rep))
+			s.Cycle(), i, rep.ID, rep))
 	}
 	delete(s.meta[i], rep.ID)
 	s.arriveRev(i, revM{rep: rep, dst: m.src, issue: m.issue, hot: m.hot}, sink)
 }
 
 func (s *Sim) drainForward() {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
+	flt := s.Faults()
 	for off := range s.nodes {
 		i := (off + rot) % s.n
 		nd := s.nodes[i]
-		if s.flt != nil && s.stallMask[i] {
+		if s.stallMask != nil && s.stallMask[i] {
 			continue // stalled router moves nothing this cycle
 		}
 		if s.nodeDead(i) {
@@ -1093,7 +813,7 @@ func (s *Sim) drainForward() {
 		for dd := 0; dd < s.d; dd++ {
 			dim := (dd + rot) % s.d
 			q := nd.out[dim]
-			if len(q) == 0 || q[0].moved == s.cycle {
+			if len(q) == 0 || q[0].moved == s.Cycle() {
 				continue
 			}
 			m := q[0]
@@ -1101,9 +821,9 @@ func (s *Sim) drainForward() {
 			if s.nodeDead(next) {
 				continue // dead downstream router: hold the request here
 			}
-			if s.flt != nil && (s.flt.DropForward(
+			if flt != nil && (flt.DropForward(
 				faults.Site(1, next, dim), m.req.ID, m.req.Attempt) ||
-				s.flt.DropLinkFwd(1, next, s.cycle)) {
+				flt.DropLinkFwd(1, next, s.Cycle())) {
 				copy(q, q[1:])
 				nd.out[dim] = q[:len(q)-1]
 				continue // request lost on the forward link
@@ -1119,54 +839,26 @@ func (s *Sim) drainForward() {
 	}
 }
 
+// injectAll offers each node's processor port to its router, in rotating
+// order; a dead router holds the port's traffic.
 func (s *Sim) injectAll() {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
+	flt := s.Faults()
 	for off := 0; off < s.n; off++ {
 		i := (off + rot) % s.n
 		if s.nodeDead(i) {
 			continue // dead router: the processor port holds its traffic
 		}
-		if s.flt != nil && len(s.retry[i]) > 0 {
-			// Retransmissions take the node's injection slot, bypassing
-			// the pending slot (a held fresh request may be waiting on
-			// exactly the delivery this retransmit recovers).
-			m := s.retry[i][0]
-			if s.flt.DropForward(faults.Site(0, i, 0), m.req.ID, m.req.Attempt) {
-				s.retry[i] = s.retry[i][1:]
-				continue
-			}
-			if s.arriveFwd(i, m) {
-				s.retry[i] = s.retry[i][1:]
-				s.stats.FwdHops++
-			}
+		m, retry, ok := s.Offer(i)
+		if !ok {
 			continue
 		}
-		if s.pending[i] == nil {
-			inj, ok := s.inj[i].Next(s.cycle)
-			if !ok {
-				continue
-			}
-			req := inj.Req
-			if s.trk != nil {
-				if req.Reps == nil && len(req.Srcs) == 1 {
-					req = req.WithReps()
-				}
-				s.trk.Track(i, req, inj.Hot, s.cycle)
-			}
-			m := fwdM{req: req, src: i, issue: s.cycle, hot: inj.Hot}
-			s.pending[i] = &m
-			s.stats.Issued++
-		}
-		m := s.pending[i]
-		if s.trk != nil && m.req.Attempt == 0 && s.trk.HeldBack(i, m.req.Addr) {
-			continue // hold: earlier same-address request undelivered
-		}
-		if s.flt != nil && s.flt.DropForward(faults.Site(0, i, 0), m.req.ID, m.req.Attempt) {
-			s.pending[i] = nil // lost on the processor-to-router link
+		if flt != nil && flt.DropForward(faults.Site(0, i, 0), m.Req.ID, m.Req.Attempt) {
+			s.Take(i, retry) // lost on the processor-to-router link
 			continue
 		}
-		if s.arriveFwd(i, *m) {
-			s.pending[i] = nil
+		if s.arriveFwd(i, fwdM{req: m.Req, src: i, issue: m.Issue, hot: m.Hot}) {
+			s.Take(i, retry)
 			s.stats.FwdHops++
 		}
 	}

@@ -26,7 +26,7 @@ func TestInvariantsUnderLoad(t *testing.T) {
 		sim := NewSim(Config{Procs: n, QueueCap: 3, WaitBufCap: waitCap}, inj)
 		for c := 0; c < cycles; c++ {
 			sim.Step()
-			st := sim.stats
+			st := sim.Stats()
 			// Conservation: issued = completed + in flight.
 			if got := st.Completed + int64(sim.InFlight()); got != st.Issued {
 				t.Fatalf("waitCap=%d cycle %d: %d issued but %d completed+inflight",
@@ -166,10 +166,10 @@ func TestWatchdogTripsOnWedgedNetwork(t *testing.T) {
 		t.Fatalf("stall report lacks the diagnostic queue snapshot:\n%s", rep)
 	}
 	// Run must refuse to burn a fresh budget on a tripped machine.
-	start := sim.cycle
+	start := sim.Cycle()
 	sim.Run(10000)
-	if sim.cycle != start {
-		t.Fatalf("Run stepped %d more cycles after the watchdog tripped", sim.cycle-start)
+	if sim.Cycle() != start {
+		t.Fatalf("Run stepped %d more cycles after the watchdog tripped", sim.Cycle()-start)
 	}
 }
 

@@ -6,10 +6,8 @@ import (
 	"combining/internal/core"
 	"combining/internal/engine"
 	"combining/internal/faults"
-	"combining/internal/flow"
 	"combining/internal/memory"
 	"combining/internal/par"
-	"combining/internal/recover"
 	"combining/internal/rmw"
 	"combining/internal/stats"
 	"combining/internal/word"
@@ -148,15 +146,10 @@ func (c *Config) normalize() error {
 		c.MemService = 1
 	}
 	if c.WatchdogCycles == 0 {
-		c.WatchdogCycles = DefaultWatchdogCycles
+		c.WatchdogCycles = engine.DefaultWatchdogCycles
 	}
 	return nil
 }
-
-// DefaultWatchdogCycles is the default no-progress limit: far above the
-// fault plans' capped retransmit backoff (RetryCap defaults to 512 cycles),
-// so only a genuine livelock or deadlock can trip it.
-const DefaultWatchdogCycles = 10000
 
 // Stats aggregates one simulation run.
 type Stats struct {
@@ -250,61 +243,27 @@ func (s Stats) Bandwidth() float64 {
 	return float64(s.Completed) / float64(s.Cycles)
 }
 
-// Injection is one request offered by an injector, tagged for metrics.
-type Injection struct {
-	Req core.Request
-	Hot bool
-}
+// Injection and Injector are the engine core's processor-port types under
+// their historical names.
+type (
+	Injection = engine.Injection
+	Injector  = engine.Injector
+)
 
-// Injector supplies traffic for one processor port and consumes replies.
-// Implementations need not be safe for concurrent use; the simulator calls
-// them from a single goroutine.
-type Injector interface {
-	// Next offers the next request at the given cycle.  ok=false means
-	// the processor has nothing to issue this cycle.  A request returned
-	// by Next is guaranteed to be injected (possibly stalled for queue
-	// space first); Next is not called again until then.
-	Next(cycle int64) (Injection, bool)
-	// Deliver hands a completed reply back.
-	Deliver(rep core.Reply, cycle int64)
-}
-
-// heldFwd is a request deferred by link-level reordering on its terminal
-// link (last-stage switch → memory module): it re-enters the module at
-// release, or one cycle later per cycle the module is crashed or full.
-type heldFwd struct {
-	release int64
-	mod     int
-	m       fwdMsg
-}
-
-// heldRev is a reply deferred by link-level reordering on its terminal
-// link (stage-0 switch → processor); it is delivered at release.
-type heldRev struct {
-	release int64
-	proc    int
-	r       revMsg
-}
-
-// Sim is the cycle-driven machine: processors (injectors), the forward and
-// reverse Omega network, and the memory modules.
+// Sim is the cycle-driven machine: the staged network of combining
+// switches and the memory modules behind it.  The embedded Endpoint is
+// the machine's edge — processor ports, faults, the terminal links,
+// completion and the Run/Drain loop; Sim holds the interior.
 type Sim struct {
+	engine.Endpoint[fwdMsg]
+
 	cfg    Config
 	topo   engine.Staged // the wiring; all routing arithmetic lives here
 	n      int           // processors
 	k      int           // stages
 	radix  int           // switch degree
 	stages [][]*switchNode
-	mem    *memory.Array
-	inj    []Injector
 
-	// pending holds a request accepted from an injector but not yet
-	// admitted into stage 0 (backpressure at the processor port);
-	// hasPending marks the occupied slots.  Values, not pointers: the
-	// message is copied in and out so the steady-state injection path
-	// never forces a heap escape.
-	pending    []fwdMsg
-	hasPending []bool
 	// pathFree recycles delivered replies' path headers back to the
 	// injection path (getPath/putPath).  Every array holds capacity for
 	// all k stages, so the appends along the forward path never regrow
@@ -325,44 +284,18 @@ type Sim struct {
 	meta     []map[word.ReqID]*fwdMsg
 	metaFree [][]*fwdMsg
 
-	cycle int64
+	// stats holds the interior counters; the port-side ones live in the
+	// endpoint and are folded in by Stats.
 	stats Stats
-	// lat records per-completion round-trip latency in cycles.
-	lat stats.Histogram
 
-	// wd is the progress watchdog; sat the tree-saturation monitor.
-	wd  *flow.Watchdog
-	sat flow.Saturation
-
-	// Fault-mode state (nil/zero on a healthy machine).
-	flt *faults.Injector
-	trk *faults.Tracker
-	// retry queues retransmissions per processor, drained ahead of fresh
-	// traffic by injectAll.
-	retry [][]fwdMsg
 	// stallMask caches this cycle's per-switch stall decisions so each
-	// switch-cycle is counted once.
+	// switch-cycle is counted once (fault plans only).  crashMask holds
+	// this cycle's dead switches (crash plans only), filled serially at
+	// the top of Step with edge detection — a rising edge flushes the
+	// switch, a falling edge counts the restore — so every Workers width
+	// sees identical crash schedules.
 	stallMask [][]bool
-	// Crash–restart state (nil/empty unless the plan has crash windows):
-	// rec is the recovery ledger, crashMask/memDead this cycle's dead
-	// components.  Both masks are filled serially at the top of Step with
-	// edge detection — a rising edge flushes the component, a falling edge
-	// counts the restore — so every Workers width sees identical crash
-	// schedules.
-	rec       *recover.Manager
 	crashMask [][]bool
-	memDead   []bool
-	// orphans counts replies arriving with no request metadata — the
-	// expected fate of the losing copy when an original and a retransmit
-	// both reach memory (satellite of the metadata panic).
-	orphans int64
-	// Adversarial-delivery state (plan.HasAdversarial(); Validate rejects
-	// Workers > 1 with such plans): adv arms the integrity layer on the
-	// terminal links, and fwdLimbo/revLimbo hold reordered messages until
-	// their release cycle (drained serially at the top of Step).
-	adv      bool
-	fwdLimbo []heldFwd
-	revLimbo []heldRev
 
 	// Parallel stepper state (Config.Workers > 1, nil/empty otherwise):
 	// the worker pool (persistent workers bracketed by Run/Drain), the
@@ -406,62 +339,24 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 			stages[s][i] = newSwitch(s, i, radix, cfg.QueueCap, cfg.RevQueueCap, cfg.WaitBufCap, pol, cfg.BuggyLoadForwarding)
 		}
 	}
-	memOpts := []memory.Option{memory.WithServiceTime(cfg.MemService)}
-	if cfg.MemQueueCap > 0 {
-		memOpts = append(memOpts, memory.WithQueueCap(cfg.MemQueueCap))
-	}
-	if cfg.Faults != nil {
-		memOpts = append(memOpts, memory.WithReplyCache())
-		if cfg.Faults.HasCrashes() {
-			memOpts = append(memOpts, memory.WithCheckpoints())
-		}
-		if cfg.Faults.Canary == "nodedup" {
-			memOpts = append(memOpts, memory.WithNoDedupCanary())
-		}
-	}
 	meta := make([]map[word.ReqID]*fwdMsg, n)
 	for i := range meta {
 		meta[i] = make(map[word.ReqID]*fwdMsg)
 	}
 	s := &Sim{
-		cfg:        cfg,
-		topo:       topo,
-		n:          n,
-		k:          k,
-		radix:      radix,
-		stages:     stages,
-		mem:        memory.NewArray(n, memOpts...),
-		inj:        inj,
-		pending:    make([]fwdMsg, n),
-		hasPending: make([]bool, n),
-		meta:       meta,
-		metaFree:   make([][]*fwdMsg, n),
-		wd:         flow.NewWatchdog(cfg.WatchdogCycles),
+		cfg:      cfg,
+		topo:     topo,
+		n:        n,
+		k:        k,
+		radix:    radix,
+		stages:   stages,
+		meta:     meta,
+		metaFree: make([][]*fwdMsg, n),
 	}
 	if cfg.Faults != nil {
-		s.flt = faults.NewInjector(*cfg.Faults)
-		s.trk = faults.NewTracker(s.flt)
-		s.adv = s.flt.Plan().HasAdversarial()
-		s.retry = make([][]fwdMsg, n)
-		s.stallMask = make([][]bool, k)
-		for i := range s.stallMask {
-			s.stallMask[i] = make([]bool, n/radix)
-		}
-		if plan := s.flt.Plan(); plan.HasCrashes() {
-			s.rec = recover.New(plan.CheckpointEvery)
-			s.crashMask = make([][]bool, k)
-			for i := range s.crashMask {
-				s.crashMask[i] = make([]bool, n/radix)
-			}
-			s.memDead = make([]bool, n)
-		}
-	}
-	if cfg.Trace != nil {
-		for _, stage := range stages {
-			for _, sw := range stage {
-				sw.trace = cfg.Trace
-				sw.cycleRef = &s.cycle
-			}
+		s.stallMask = newMask(k, n/radix)
+		if cfg.Faults.HasCrashes() {
+			s.crashMask = newMask(k, n/radix)
 		}
 	}
 	// Validation rejected Workers > 1 with tracing on, so reaching here
@@ -481,14 +376,54 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 			s.revGroups[st] = engine.RevGroups(topo, st)
 		}
 	}
+	memOpts := []memory.Option{memory.WithServiceTime(cfg.MemService)}
+	if cfg.MemQueueCap > 0 {
+		memOpts = append(memOpts, memory.WithQueueCap(cfg.MemQueueCap))
+	}
+	setup := engine.Setup[fwdMsg]{
+		Name:        "network",
+		Injectors:   inj,
+		Modules:     n,
+		MemOpts:     memOpts,
+		Faults:      cfg.Faults,
+		Watchdog:    cfg.WatchdogCycles,
+		Pool:        s.pool,
+		Step:        s.Step,
+		Occupancy:   s.occupancy,
+		StallDetail: s.stallDetail,
+		Req:         fwdReq,
+		File:        s.metaInsert,
+		MemSite:     func(mod int) uint64 { return faults.Site(k, mod, 0) },
+		ProcSite:    func(proc int) uint64 { return faults.Site(0, proc, 0) },
+	}
+	if cfg.Trace != nil {
+		setup.Issued = func(proc int, req core.Request) {
+			cfg.Trace(Event{Cycle: s.Cycle(), Kind: EvInject,
+				ID: req.ID, Addr: req.Addr, Stage: -1, Switch: proc})
+		}
+		setup.Delivered = func(proc int, rep core.Reply) {
+			cfg.Trace(Event{Cycle: s.Cycle(), Kind: EvDeliver,
+				ID: rep.ID, Stage: -1, Switch: proc})
+		}
+		for _, stage := range stages {
+			for _, sw := range stage {
+				sw.trace = cfg.Trace
+				sw.now = s.Cycle
+			}
+		}
+	}
+	s.Init(setup)
 	return s
 }
 
-// Memory exposes the module array (for initialization and inspection).
-func (s *Sim) Memory() *memory.Array { return s.mem }
-
-// Cycle returns the current cycle number.
-func (s *Sim) Cycle() int64 { return s.cycle }
+// newMask allocates a per-switch flag grid.
+func newMask(stages, width int) [][]bool {
+	m := make([][]bool, stages)
+	for i := range m {
+		m[i] = make([]bool, width)
+	}
+	return m
+}
 
 // Topology exposes the wiring the machine was built with.
 func (s *Sim) Topology() engine.Staged { return s.topo }
@@ -500,29 +435,23 @@ func (s *Sim) outPortFor(stage int, dst int) int {
 }
 
 // destModule is the home module of an address.
-func (s *Sim) destModule(addr word.Addr) int { return s.mem.HomeOf(addr) }
+func (s *Sim) destModule(addr word.Addr) int { return s.Memory().HomeOf(addr) }
 
 // Step advances the machine one cycle.
 func (s *Sim) Step() {
-	s.cycle++
-	s.stats.Cycles++
-	if s.flt != nil {
+	s.StartCycle()
+	if s.stallMask != nil {
+		flt := s.Faults()
 		for stage := range s.stallMask {
 			for si := range s.stallMask[stage] {
-				s.stallMask[stage][si] = s.flt.Stalled(stage, si, s.cycle)
+				s.stallMask[stage][si] = flt.Stalled(stage, si, s.Cycle())
 			}
 		}
-		if s.rec != nil {
+		if s.crashMask != nil {
 			s.updateCrashState()
 		}
-		for _, p := range s.trk.Expired(s.cycle) {
-			s.retry[p.Proc] = append(s.retry[p.Proc],
-				fwdMsg{req: p.Req, path: s.getPath(), issueCycle: p.IssueCycle, hot: p.Hot})
-		}
-		if s.adv {
-			s.drainLimbo()
-		}
 	}
+	s.Redrive()
 	if s.pool != nil {
 		s.runPhases()
 	} else {
@@ -531,53 +460,29 @@ func (s *Sim) Step() {
 		s.drainForward()
 	}
 	s.injectAll()
-
-	s.sat.Observe(s.treeSaturated())
-	s.stats.SaturationCycles = s.sat.Cycles()
-	s.stats.SaturationMaxStreak = s.sat.MaxStreak()
-	if s.wd.Observe(s.cycle, s.InFlight(), s.progressSig()) {
-		s.stats.WatchdogTrips++
-	}
+	s.EndCycle(s.treeSaturated(), s.stats.FwdHops+s.stats.RevHops+s.stats.MemAcks)
 }
 
-// updateCrashState advances the crash–restart masks one cycle, serially so
-// every Workers width sees the same schedule.  A rising edge (component
-// entering its window) flushes the component's volatile state and records
-// the lost in-flight operations; a falling edge is the restart — the
-// component rejoins empty (switch) or at its last checkpoint (module).
+// updateCrashState advances the switch crash masks, then the modules'.  A
+// rising edge flushes the switch's volatile state and records the lost
+// in-flight operations; the restart rejoins it empty.
 func (s *Sim) updateCrashState() {
+	flt := s.Faults()
 	for stage := range s.crashMask {
 		for si := range s.crashMask[stage] {
-			dead := s.flt.SwitchCrashed(stage, si, s.cycle)
-			if dead && !s.crashMask[stage][si] {
-				s.rec.NoteCrash()
-				s.rec.NoteLost(s.trk, s.stages[stage][si].crash())
-			} else if !dead && s.crashMask[stage][si] {
-				s.rec.NoteRestore()
+			if s.CrashEdge(flt.SwitchCrashed(stage, si, s.Cycle()), &s.crashMask[stage][si]) {
+				s.Lost(s.stages[stage][si].crash())
 			}
-			s.crashMask[stage][si] = dead
 		}
 	}
 	for mod := 0; mod < s.n; mod++ {
-		dead := s.flt.MemCrashed(mod, s.cycle)
-		if dead && !s.memDead[mod] {
-			s.rec.NoteCrash()
-			s.rec.NoteLost(s.trk, s.mem.Module(mod).Crash())
-		} else if !dead && s.memDead[mod] {
-			s.rec.NoteRestore()
-		}
-		s.memDead[mod] = dead
+		s.ModuleEdge(mod)
 	}
 }
 
 // swDead reports whether the switch at (stage, idx) is crashed this cycle.
 func (s *Sim) swDead(stage, idx int) bool {
-	return s.rec != nil && s.crashMask[stage][idx]
-}
-
-// modDead reports whether module mod is crashed this cycle.
-func (s *Sim) modDead(mod int) bool {
-	return s.rec != nil && s.memDead[mod]
+	return s.crashMask != nil && s.crashMask[stage][idx]
 }
 
 // treeSaturated reports whether the queue tree is saturated end to end this
@@ -606,30 +511,10 @@ func (s *Sim) treeSaturated() bool {
 	return true
 }
 
-// progressSig is the watchdog's monotone progress signature: any message
-// movement — injection, a hop in either direction, a memory service cycle,
-// a delivery, or a fault event that consumes a message — changes it.  If it
-// freezes with work in flight, nothing is moving anywhere.
-func (s *Sim) progressSig() int64 {
-	sig := s.stats.Issued + s.stats.Completed + s.stats.FwdHops +
-		s.stats.RevHops + s.stats.MemAcks + s.orphans
-	for mod := 0; mod < s.n; mod++ {
-		sig += s.mem.Module(mod).BusyCycles
-	}
-	if s.flt != nil {
-		sig += s.flt.Injected()
-	}
-	return sig
-}
-
-// Stalled reports whether the progress watchdog has tripped: work was in
-// flight and nothing moved for Config.WatchdogCycles cycles.
-func (s *Sim) Stalled() bool { return s.wd.Tripped() }
-
-// StallReport formats the watchdog diagnostic with a queue snapshot — the
-// state dump a failing soak prints next to its replay seed.
-func (s *Sim) StallReport() string {
-	detail := fmt.Sprintf("pending=%d meta=%d", s.pendingCount(), s.metaCount())
+// stallDetail is the network's part of the stall report: per-stage queue
+// and wait-buffer occupancy and the memory backlog.
+func (s *Sim) stallDetail() string {
+	detail := fmt.Sprintf("pending=%d meta=%d", s.Pending(), s.metaCount())
 	for st, stage := range s.stages {
 		fwd, rev, wait := 0, 0, 0
 		for _, sw := range stage {
@@ -643,14 +528,9 @@ func (s *Sim) StallReport() string {
 	}
 	memQ := 0
 	for mod := 0; mod < s.n; mod++ {
-		memQ += s.mem.Module(mod).QueueLen()
+		memQ += s.Memory().Module(mod).QueueLen()
 	}
-	detail += fmt.Sprintf("\nmemory queued=%d", memQ)
-	crashed := ""
-	if s.flt != nil {
-		crashed = s.flt.ActiveCrashes(s.wd.TripCycle())
-	}
-	return flow.StallReport("network", s.wd, s.InFlight(), crashed, detail)
+	return detail + fmt.Sprintf("\nmemory queued=%d", memQ)
 }
 
 // metaInsert files a request's metadata under its module shard, reusing a
@@ -679,41 +559,12 @@ func (s *Sim) metaCount() int {
 	return n
 }
 
-func (s *Sim) pendingCount() int {
-	n := 0
-	for _, occupied := range s.hasPending {
-		if occupied {
-			n++
-		}
-	}
-	return n
-}
-
-// Run advances the machine the given number of cycles, stopping early if
-// the progress watchdog trips (a stalled machine makes no further progress
-// by definition; callers check Stalled / StallReport).  A parallel machine
-// starts its persistent workers here, once per Run — not once per cycle —
-// and retires them on return; a bare Step outside Run still works through
-// the pool's spawn fallback.
-func (s *Sim) Run(cycles int) {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < cycles; i++ {
-		if s.wd.Tripped() {
-			return
-		}
-		s.Step()
-	}
-}
-
 // drainReverse moves one reply per reverse link per cycle, destination side
 // first so each reply advances at most one hop per cycle.  Switch and port
 // order rotate with the cycle so contending streams share a downstream
 // queue fairly (round-robin arbitration, as in real switches).
 func (s *Sim) drainReverse() {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	n0 := len(s.stages[0])
 	for si := 0; si < n0; si++ {
 		s.revSwitch0((si+rot)%n0, &s.stats, nil)
@@ -733,14 +584,15 @@ func (s *Sim) drainReverse() {
 // serial replay instead of delivered inline, because injectors and the
 // retry tracker are single-goroutine.
 func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
-	if s.flt != nil && s.stallMask[0][idx] {
+	if s.stallMask != nil && s.stallMask[0][idx] {
 		return // blacked-out switch moves nothing this cycle
 	}
 	if s.swDead(0, idx) {
 		return // crashed switch moves nothing until it restarts
 	}
 	sw := s.stages[0][idx]
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
+	flt := s.Faults()
 	for pi := 0; pi < s.radix; pi++ {
 		port := (pi + rot) % s.radix
 		if len(sw.revQ[port]) == 0 {
@@ -748,9 +600,9 @@ func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
 		}
 		inLine := sw.index*s.radix + port
 		r := sw.popRev(port)
-		if s.flt != nil && (s.flt.DropReply(
+		if flt != nil && (flt.DropReply(
 			faults.Site(0, sw.index, port), r.rep.ID, r.rep.Attempt) ||
-			s.flt.DropLinkRev(0, sw.index, s.cycle)) {
+			flt.DropLinkRev(0, sw.index, s.Cycle())) {
 			continue // reply lost on the reverse link
 		}
 		st.RevHops++
@@ -771,14 +623,15 @@ func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
 // idx/radix touch the same previous-stage set — the conflict groups the
 // parallel stepper partitions on.
 func (s *Sim) revSwitch(stage, idx int, st *Stats) {
-	if s.flt != nil && s.stallMask[stage][idx] {
+	if s.stallMask != nil && s.stallMask[stage][idx] {
 		return // blacked-out switch moves nothing this cycle
 	}
 	if s.swDead(stage, idx) {
 		return // crashed switch moves nothing until it restarts
 	}
 	sw := s.stages[stage][idx]
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
+	flt := s.Faults()
 	for pi := 0; pi < s.radix; pi++ {
 		port := (pi + rot) % s.radix
 		if len(sw.revQ[port]) == 0 {
@@ -802,9 +655,9 @@ func (s *Sim) revSwitch(stage, idx int, st *Stats) {
 			continue
 		}
 		r := sw.popRev(port)
-		if s.flt != nil && (s.flt.DropReply(
+		if flt != nil && (flt.DropReply(
 			faults.Site(stage, sw.index, port), r.rep.ID, r.rep.Attempt) ||
-			s.flt.DropLinkRev(stage, sw.index, s.cycle)) {
+			flt.DropLinkRev(stage, sw.index, s.Cycle())) {
 			continue // reply lost on the reverse link
 		}
 		st.RevHops++
@@ -813,162 +666,22 @@ func (s *Sim) revSwitch(stage, idx int, st *Stats) {
 	}
 }
 
-// memEnter crosses the adversarial terminal link into module mod: the
-// request is stamped at the last trusted hop (the switch — combining has
-// legitimately rewritten the op by now), possibly corrupted on the wire,
-// verified, and quarantined on mismatch; the retransmit machinery then
-// repairs the loss exactly-once.  The duplicate draw comes after
-// verification so dup_injected counts only messages that actually entered
-// the module twice.  Metadata is keyed and stored before corruption can
-// strike, never after — a quarantined request leaves no shard entry.
-func (s *Sim) memEnter(mod int, m fwdMsg, st *Stats) {
-	m.req = core.StampRequest(m.req)
-	wire := m.req
-	site := faults.Site(s.k, mod, 0)
-	if mask := s.flt.CorruptMask(site, m.req.ID, m.req.Attempt); mask != 0 {
-		wire = core.CorruptRequest(wire, mask)
-	}
-	if !core.RequestOK(wire) {
-		s.flt.NoteCorruptDropped()
-		return // quarantined: equivalent to a detected drop on this link
-	}
-	st.MemRequests++
-	s.metaInsert(mod, m)
-	s.mem.Module(mod).Enqueue(wire)
-	if s.flt.Duplicate(site, wire.ID, wire.Attempt) && s.mem.Module(mod).CanEnqueue() {
-		// Network-born duplicate: the link re-emits a message the sender
-		// never retransmitted.  The reply cache answers the second copy
-		// from its leaf values; its reply finds no metadata and orphans.
-		// The copy deep-copies its Srcs/Reps slices — a shallow second
-		// enqueue would share backing arrays with the first.
-		st.MemRequests++
-		s.mem.Module(mod).Enqueue(wire.Clone())
-	}
-}
-
-// drainLimbo releases reordered messages whose deferral has elapsed.  It
-// runs serially at the top of Step — Validate rejects adversarial plans
-// with Workers > 1 — so release order is defined by the serial sweep.  A
-// forward release finding its module crashed or full re-holds one cycle
-// (the deferral bound is on the adversarial link, not on ordinary
-// backpressure), and held messages are never re-reordered, so the
-// deferral is bounded by ReorderMax plus the backpressure already counted
-// against every request.
-func (s *Sim) drainLimbo() {
-	if len(s.fwdLimbo) > 0 {
-		keep := s.fwdLimbo[:0]
-		for _, h := range s.fwdLimbo {
-			if h.release > s.cycle {
-				keep = append(keep, h)
-				continue
-			}
-			if s.modDead(h.mod) || !s.mem.Module(h.mod).CanEnqueue() {
-				h.release = s.cycle + 1
-				keep = append(keep, h)
-				continue
-			}
-			s.memEnter(h.mod, h.m, &s.stats)
-		}
-		s.fwdLimbo = keep
-	}
-	if len(s.revLimbo) > 0 {
-		keep := s.revLimbo[:0]
-		for _, h := range s.revLimbo {
-			if h.release > s.cycle {
-				keep = append(keep, h)
-				continue
-			}
-			s.deliverVerified(h.proc, h.r)
-		}
-		s.revLimbo = keep
-	}
-}
-
-// deliver hands a reply across the terminal link to its processor.  Under
-// an adversarial plan the link may defer (reorder), duplicate, or corrupt
-// it; the reply is stamped here — the last trusted hop — and verified on
-// the far side by deliverVerified.
+// deliver hands a reply that left stage 0 to the endpoint.  Its path
+// header, empty by now, returns to the injection pool first — before the
+// reply link, which may duplicate the reply, so each header recycles once.
 func (s *Sim) deliver(proc int, r revMsg) {
-	if s.adv {
-		r.rep = core.StampReply(r.rep)
-		site := faults.Site(0, proc, 0)
-		if d := s.flt.ReorderDelay(site, r.rep.ID, r.rep.Attempt); d > 0 {
-			s.revLimbo = append(s.revLimbo,
-				heldRev{release: s.cycle + d, proc: proc, r: r})
-			return
-		}
-		s.deliverVerified(proc, r)
-		return
-	}
-	s.deliverCommon(proc, r)
-}
-
-// deliverVerified is the processor side of the adversarial terminal link:
-// corrupt on the wire, verify the checksum, quarantine on mismatch (the
-// processor retransmits and the reply cache answers), and deliver — twice
-// when the link duplicates, with the tracker suppressing the second copy.
-func (s *Sim) deliverVerified(proc int, r revMsg) {
-	site := faults.Site(0, proc, 0)
-	wire := r.rep
-	if mask := s.flt.CorruptMask(site, wire.ID, wire.Attempt); mask != 0 {
-		wire = core.CorruptReply(wire, mask)
-	}
-	if !core.ReplyOK(wire) {
-		s.flt.NoteCorruptDropped()
-		return // quarantined: the retransmit machinery re-drives the op
-	}
-	r.rep = wire
-	if s.flt.Duplicate(site, wire.ID, wire.Attempt) {
-		// The duplicate must own its storage: a shallow copy would share
-		// the path array (recycled per delivery by deliverCommon) and the
-		// Leaves map with the original, so delivering the same revMsg
-		// twice corrupts whichever copy is processed second.
-		s.deliverCommon(proc, r.cloneForDup())
-	}
-	s.deliverCommon(proc, r)
-}
-
-func (s *Sim) deliverCommon(proc int, r revMsg) {
-	// The reply has left the network: its path header (empty by now —
-	// stage 0 popped the last entry) returns to the injection pool.  This
-	// runs before the duplicate-suppression check on purpose: a suppressed
-	// copy's header recycles too, and post-clone every copy owns its own
-	// array.
 	s.putPath(r.path)
-	if s.trk != nil {
-		if _, ok := s.trk.Deliver(r.rep.ID, s.cycle); !ok {
-			return // duplicate of an already-delivered reply; suppressed
-		}
-	}
-	if s.rec != nil {
-		// A completion whose in-flight copy a crash flushed was re-driven
-		// here by the retry machinery — count the replay.
-		s.rec.NoteDelivered(r.rep.ID)
-	}
-	lat := s.cycle - r.issueCycle
-	s.stats.Completed++
-	s.stats.LatencySum += lat
-	s.lat.Record(lat)
-	if r.hot {
-		s.stats.HotCompleted++
-		s.stats.HotLatencySum += lat
-	} else {
-		s.stats.ColdCompleted++
-		s.stats.ColdLatencySum += lat
-	}
-	if s.cfg.Trace != nil {
-		s.cfg.Trace(Event{Cycle: s.cycle, Kind: EvDeliver,
-			ID: r.rep.ID, Stage: -1, Switch: proc})
-	}
-	s.inj[proc].Deliver(r.rep, s.cycle)
+	s.Deliver(engine.Delivery{Rep: r.rep, Proc: proc, Issue: r.issueCycle, Hot: r.hot})
 }
 
 // tickMemory advances every module and feeds completed replies into the
 // reverse side of the last stage.
 func (s *Sim) tickMemory() {
+	var orphans int64
 	for mod := 0; mod < s.n; mod++ {
-		s.tickModule(mod, &s.stats, &s.orphans)
+		s.tickModule(mod, &s.stats, &orphans)
 	}
+	s.AddOrphans(orphans)
 }
 
 // tickModule advances one module one cycle.  A module touches only its own
@@ -977,17 +690,19 @@ func (s *Sim) tickMemory() {
 // stepper; orphans accumulate through the pointer so each worker's count
 // stays on its own shard.
 func (s *Sim) tickModule(mod int, st *Stats, orphans *int64) {
-	if s.modDead(mod) {
+	if s.ModDead(mod) {
 		return // crashed module serves nothing until it restarts
 	}
-	if s.rec != nil && s.rec.CheckpointDue(s.cycle) {
+	md := s.Memory().Module(mod)
+	if s.CheckpointDue() {
 		// Commit the module's recovery image: executed-but-uncommitted
 		// leaves join the committed cache and withheld replies become
 		// releasable (output commit) — see memory.Module.Checkpoint.
-		s.mem.Module(mod).Checkpoint()
+		md.Checkpoint()
 		st.Checkpoints++
 	}
-	if s.flt != nil && s.flt.MemStalled(mod, s.cycle) {
+	flt := s.Faults()
+	if flt != nil && flt.MemStalled(mod, s.Cycle()) {
 		return // module inside a slowdown window serves nothing
 	}
 	sw := s.stages[s.k-1][mod/s.radix]
@@ -998,14 +713,14 @@ func (s *Sim) tickModule(mod int, st *Stats, orphans *int64) {
 		st.HoldsMemOut++
 		return
 	}
-	rep, ok := s.mem.Module(mod).Tick()
+	rep, ok := md.Tick()
 	if !ok {
 		return
 	}
 	st.MemAcks++
 	box, found := s.meta[mod][rep.ID]
 	if !found {
-		if s.flt != nil {
+		if flt != nil {
 			// Expected under retransmission: when an original and a
 			// retransmit both reach memory, the first reply consumes
 			// the metadata and the second becomes an orphan.
@@ -1013,14 +728,14 @@ func (s *Sim) tickModule(mod int, st *Stats, orphans *int64) {
 			return
 		}
 		panic(fmt.Sprintf("network: cycle %d, module %d: reply id %d (%v) with no request metadata",
-			s.cycle, mod, rep.ID, rep))
+			s.Cycle(), mod, rep.ID, rep))
 	}
 	m := *box
 	*box = fwdMsg{}
 	s.metaFree[mod] = append(s.metaFree[mod], box)
 	delete(s.meta[mod], rep.ID)
 	if s.cfg.Trace != nil {
-		s.cfg.Trace(Event{Cycle: s.cycle, Kind: EvMemServe,
+		s.cfg.Trace(Event{Cycle: s.Cycle(), Kind: EvMemServe,
 			ID: rep.ID, Addr: m.req.Addr, Stage: -1, Switch: mod})
 	}
 	sw.acceptReply(revMsg{
@@ -1035,7 +750,7 @@ func (s *Sim) tickModule(mod int, st *Stats, orphans *int64) {
 // drainForward moves one request per forward link per cycle, memory side
 // first, with round-robin switch/port arbitration as in drainReverse.
 func (s *Sim) drainForward() {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	for stage := s.k - 1; stage >= 0; stage-- {
 		ns := len(s.stages[stage])
 		for si := 0; si < ns; si++ {
@@ -1052,14 +767,15 @@ func (s *Sim) drainForward() {
 // switches congruent mod n/radix² share a next-stage set — the strided
 // conflict groups the parallel stepper partitions on.
 func (s *Sim) fwdSwitch(stage, idx int, st *Stats) {
-	if s.flt != nil && s.stallMask[stage][idx] {
+	if s.stallMask != nil && s.stallMask[stage][idx] {
 		return // blacked-out switch moves nothing this cycle
 	}
 	if s.swDead(stage, idx) {
 		return // crashed switch moves nothing until it restarts
 	}
 	sw := s.stages[stage][idx]
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
+	flt := s.Faults()
 	for pi := 0; pi < s.radix; pi++ {
 		port := (pi + rot) % s.radix
 		if len(sw.outQ[port]) == 0 {
@@ -1069,13 +785,14 @@ func (s *Sim) fwdSwitch(stage, idx int, st *Stats) {
 		outLine := sw.index*s.radix + port
 		if stage == s.k-1 {
 			// The link into module outLine.
-			if s.modDead(outLine) {
+			if s.ModDead(outLine) {
 				// Dead module: hold the request in the switch — it was
 				// flushed once at the crash; nothing new is fed to it.
 				st.HoldsMem++
 				continue
 			}
-			if !s.mem.Module(outLine).CanEnqueue() {
+			md := s.Memory().Module(outLine)
+			if !md.CanEnqueue() {
 				// Bounded module input full: hold the request in
 				// the switch — the backpressure that turns a hot
 				// module into tree saturation instead of unbounded
@@ -1084,26 +801,20 @@ func (s *Sim) fwdSwitch(stage, idx int, st *Stats) {
 				continue
 			}
 			sw.popFwd(port)
-			if s.flt != nil && (s.flt.DropForward(
+			if flt != nil && (flt.DropForward(
 				faults.Site(s.k, outLine, 0), m.req.ID, m.req.Attempt) ||
-				s.flt.DropLinkFwd(s.k, outLine, s.cycle)) {
+				flt.DropLinkFwd(s.k, outLine, s.Cycle())) {
 				continue // request lost on the memory link
 			}
 			st.FwdHops++
 			st.FwdSlots += int64(core.ValueSlots(m.req.Op))
-			if s.adv {
-				if d := s.flt.ReorderDelay(faults.Site(s.k, outLine, 0),
-					m.req.ID, m.req.Attempt); d > 0 {
-					s.fwdLimbo = append(s.fwdLimbo,
-						heldFwd{release: s.cycle + d, mod: outLine, m: m})
-					continue
-				}
-				s.memEnter(outLine, m, st)
+			if s.Adversarial() {
+				s.MemLink(outLine, m)
 				continue
 			}
 			st.MemRequests++
 			s.metaInsert(outLine, m)
-			s.mem.Module(outLine).Enqueue(m.req)
+			md.Enqueue(m.req)
 			continue
 		}
 		nextLine := s.topo.NextLine(stage, outLine)
@@ -1111,9 +822,9 @@ func (s *Sim) fwdSwitch(stage, idx int, st *Stats) {
 		if s.swDead(stage+1, nextLine/s.radix) {
 			continue // dead downstream switch: hold the request here
 		}
-		if s.flt != nil && (s.flt.DropForward(
+		if flt != nil && (flt.DropForward(
 			faults.Site(stage+1, nextLine/s.radix, nextLine%s.radix), m.req.ID, m.req.Attempt) ||
-			s.flt.DropLinkFwd(stage+1, nextLine/s.radix, s.cycle)) {
+			flt.DropLinkFwd(stage+1, nextLine/s.radix, s.Cycle())) {
 			sw.popFwd(port)
 			continue // request lost on the inter-stage link
 		}
@@ -1127,8 +838,8 @@ func (s *Sim) fwdSwitch(stage, idx int, st *Stats) {
 }
 
 // getPath returns an empty path header with capacity for all k stages,
-// reusing storage recycled by deliverCommon: at steady state the
-// inject→deliver loop cycles a fixed set of arrays and allocates nothing.
+// reusing storage recycled by deliver: at steady state the inject→deliver
+// loop cycles a fixed set of arrays and allocates nothing.
 func (s *Sim) getPath() []uint8 {
 	if n := len(s.pathFree); n > 0 {
 		p := s.pathFree[n-1]
@@ -1148,93 +859,52 @@ func (s *Sim) putPath(p []uint8) {
 	s.pathFree = append(s.pathFree, p[:0])
 }
 
-// injectAll offers each processor's next request to stage 0, in rotating
-// order so no processor port permanently outranks another.
+// injectAll offers each processor port's message to stage 0, in rotating
+// order so no processor port permanently outranks another.  A message
+// takes a path header only for its admission attempt; a refused attempt
+// returns it to the pool.
 func (s *Sim) injectAll() {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
+	flt := s.Faults()
 	for pi := 0; pi < s.n; pi++ {
 		proc := (pi + rot) % s.n
-		if s.flt != nil && len(s.retry[proc]) > 0 {
-			// Retransmissions take the port's injection slot this cycle,
-			// bypassing the pending slot entirely: a fresh request held
-			// there (HeldBack) may be waiting on exactly the delivery
-			// this retransmit recovers.
-			m := s.retry[proc][0]
-			line := s.topo.ProcLine(proc)
-			if s.swDead(0, line/s.radix) {
-				continue // dead stage-0 switch: hold the retransmit
-			}
-			if s.flt.DropForward(faults.Site(0, line/s.radix, line%s.radix), m.req.ID, m.req.Attempt) ||
-				s.flt.DropLinkFwd(0, line/s.radix, s.cycle) {
-				s.putPath(m.path)
-				s.retry[proc] = s.retry[proc][1:]
-				continue
-			}
-			sw := s.stages[0][line/s.radix]
-			dst := s.destModule(m.req.Addr)
-			if sw.tryAccept(m, s.outPortFor(0, dst), uint8(line%s.radix), &s.stats) {
-				s.retry[proc] = s.retry[proc][1:]
-				s.stats.FwdHops++
-				s.stats.FwdSlots += int64(core.ValueSlots(m.req.Op))
-			}
-			continue
-		}
-		if !s.hasPending[proc] {
-			inj, ok := s.inj[proc].Next(s.cycle)
-			if !ok {
-				continue
-			}
-			req := inj.Req
-			if s.trk != nil {
-				if req.Reps == nil && len(req.Srcs) == 1 {
-					// The reply cache needs every message to name its
-					// leaves exactly.
-					req = req.WithReps()
-				}
-				s.trk.Track(proc, req, inj.Hot, s.cycle)
-			}
-			s.pending[proc] = fwdMsg{req: req, path: s.getPath(), issueCycle: s.cycle, hot: inj.Hot}
-			s.hasPending[proc] = true
-			s.stats.Issued++
-			if s.cfg.Trace != nil {
-				s.cfg.Trace(Event{Cycle: s.cycle, Kind: EvInject,
-					ID: req.ID, Addr: req.Addr, Stage: -1, Switch: proc})
-			}
-		}
-		m := &s.pending[proc]
-		if s.trk != nil && m.req.Attempt == 0 && s.trk.HeldBack(proc, m.req.Addr) {
-			// An earlier request to the same address is undelivered; hold
-			// this one at the port so a drop cannot reorder the
-			// processor's own accesses to the location.
+		m, retry, ok := s.Offer(proc)
+		if !ok {
 			continue
 		}
 		line := s.topo.ProcLine(proc)
-		if s.swDead(0, line/s.radix) {
+		si, port := line/s.radix, line%s.radix
+		if s.swDead(0, si) {
 			continue // dead stage-0 switch: hold the request at the port
 		}
-		if s.flt != nil && (s.flt.DropForward(
-			faults.Site(0, line/s.radix, line%s.radix), m.req.ID, m.req.Attempt) ||
-			s.flt.DropLinkFwd(0, line/s.radix, s.cycle)) {
-			// Lost on the processor-to-stage-0 link; the header never
-			// entered the network, so it recycles immediately.
-			s.putPath(m.path)
-			s.hasPending[proc] = false
+		if flt != nil && (flt.DropForward(faults.Site(0, si, port), m.Req.ID, m.Req.Attempt) ||
+			flt.DropLinkFwd(0, si, s.Cycle())) {
+			s.Take(proc, retry) // lost on the processor-to-stage-0 link
 			continue
 		}
-		sw := s.stages[0][line/s.radix]
-		dst := s.destModule(m.req.Addr)
-		if sw.tryAccept(*m, s.outPortFor(0, dst), uint8(line%s.radix), &s.stats) {
-			s.hasPending[proc] = false
-			s.stats.FwdHops++
-			s.stats.FwdSlots += int64(core.ValueSlots(m.req.Op))
+		fm := fwdMsg{req: m.Req, path: s.getPath(), issueCycle: m.Issue, hot: m.Hot}
+		if !s.stages[0][si].tryAccept(fm, s.outPortFor(0, s.destModule(m.Req.Addr)), uint8(port), &s.stats) {
+			s.putPath(fm.path)
+			continue
 		}
+		s.stats.FwdHops++
+		s.stats.FwdSlots += int64(core.ValueSlots(m.Req.Op))
+		s.Take(proc, retry)
 	}
 }
 
-// Stats snapshots the run statistics, folding in per-switch counters.
+// Stats snapshots the run statistics, folding in the endpoint's port-side
+// counters and the per-switch counters.
 func (s *Sim) Stats() Stats {
 	st := s.stats
-	st.Latency = s.lat.Snapshot()
+	t := s.Tally()
+	st.Cycles, st.Issued, st.Completed, st.LatencySum = t.Cycles, t.Issued, t.Completed, t.LatencySum
+	st.HotCompleted, st.HotLatencySum = t.HotCompleted, t.HotLatencySum
+	st.ColdCompleted, st.ColdLatencySum = t.ColdCompleted, t.ColdLatencySum
+	st.SaturationCycles, st.SaturationMaxStreak = t.SaturationCycles, t.SaturationMaxStreak
+	st.WatchdogTrips = t.WatchdogTrips
+	st.MemRequests += s.LinkEnqueued()
+	st.Latency = s.Latency()
 	for _, stage := range s.stages {
 		for _, sw := range stage {
 			st.Rejects += sw.wait.Rejections
@@ -1243,7 +913,7 @@ func (s *Sim) Stats() Stats {
 			}
 		}
 	}
-	st.MaxMemQueue = s.mem.MaxQueueDepth()
+	st.MaxMemQueue = s.Memory().MaxQueueDepth()
 	return st
 }
 
@@ -1251,75 +921,32 @@ func (s *Sim) Stats() Stats {
 // cross-engine API (see internal/stats).
 func (s *Sim) Snapshot() stats.Snapshot {
 	st := s.Stats()
-	snap := stats.Snapshot{
-		Engine: "network",
-		Counters: engine.Counters{
-			Cycles:           st.Cycles,
-			Issued:           st.Issued,
-			Completed:        st.Completed,
-			HotCompleted:     st.HotCompleted,
-			ColdCompleted:    st.ColdCompleted,
-			Replies:          st.Completed,
-			Combines:         st.Combines,
-			CombineRejects:   st.Rejects,
-			FwdHops:          st.FwdHops,
-			RevHops:          st.RevHops,
-			FwdSlots:         st.FwdSlots,
-			RevSlots:         st.RevSlots,
-			MemRequests:      st.MemRequests,
-			MemAcks:          st.MemAcks,
-			SaturationCycles: st.SaturationCycles,
-			HoldsRev:         st.HoldsRev,
-			HoldsMem:         st.HoldsMem,
-			HoldsMemOut:      st.HoldsMemOut,
-			WatchdogTrips:    st.WatchdogTrips,
-			Checkpoints:      st.Checkpoints,
-		}.Map(),
-		Gauges: map[string]int64{
-			"max_out_queue":         int64(st.MaxOutQueue),
-			"max_rev_queue":         int64(st.MaxRevQueue),
-			"max_mem_queue":         int64(st.MaxMemQueue),
-			"saturation_max_streak": st.SaturationMaxStreak,
-		},
-		Histograms: map[string]stats.HistogramSnapshot{
-			"latency_cycles": st.Latency,
-		},
-	}
-	if s.flt != nil {
-		faults.AddCounters(&snap, s.flt, s.trk, s.mem.TotalDedupHits(), s.orphans, s.rec.Counters())
-	}
-	return snap
+	return s.BuildSnapshot(engine.Counters{
+		HotCompleted:   st.HotCompleted,
+		ColdCompleted:  st.ColdCompleted,
+		Combines:       st.Combines,
+		CombineRejects: st.Rejects,
+		FwdHops:        st.FwdHops,
+		RevHops:        st.RevHops,
+		FwdSlots:       st.FwdSlots,
+		RevSlots:       st.RevSlots,
+		MemRequests:    st.MemRequests,
+		MemAcks:        st.MemAcks,
+		HoldsRev:       st.HoldsRev,
+		HoldsMem:       st.HoldsMem,
+		HoldsMemOut:    st.HoldsMemOut,
+		Checkpoints:    st.Checkpoints,
+	}, map[string]int64{
+		"max_out_queue": int64(st.MaxOutQueue),
+		"max_rev_queue": int64(st.MaxRevQueue),
+		"max_mem_queue": int64(st.MaxMemQueue),
+	})
 }
 
-// Recovery exposes the crash–restart ledger (nil without crash windows).
-func (s *Sim) Recovery() *recover.Manager { return s.rec }
-
-// Faults exposes the fault injector (nil on a healthy machine).
-func (s *Sim) Faults() *faults.Injector { return s.flt }
-
-// Tracker exposes the exactly-once delivery ledger (nil on a healthy
-// machine).
-func (s *Sim) Tracker() *faults.Tracker { return s.trk }
-
-// Orphans reports replies that arrived with no request metadata (fault mode
-// only; on a healthy machine an orphan is a bug and panics instead).
-func (s *Sim) Orphans() int64 { return s.orphans }
-
-// InFlight reports requests somewhere in the machine: pending at the
-// injection port, queued in switches, in memory, or replies in transit.
-// Under a fault plan, physical occupancy is the wrong notion — messages
-// vanish on dropped links and stale wait records linger by design — so the
-// tracker's ledger answers instead: requests issued but not yet delivered.
-func (s *Sim) InFlight() int {
-	if s.trk != nil {
-		return s.trk.Outstanding()
-	}
+// occupancy counts the messages inside the network: queued in switches,
+// parked in wait buffers, or in memory.
+func (s *Sim) occupancy() int {
 	n := 0
-	for _, occupied := range s.hasPending {
-		if occupied {
-			n++
-		}
-	}
 	for _, stage := range s.stages {
 		for _, sw := range stage {
 			for port := 0; port < s.radix; port++ {
@@ -1329,27 +956,7 @@ func (s *Sim) InFlight() int {
 		}
 	}
 	for mod := 0; mod < s.n; mod++ {
-		n += s.mem.Module(mod).QueueLen()
+		n += s.Memory().Module(mod).QueueLen()
 	}
 	return n
-}
-
-// Drain runs the machine until no requests remain in flight (injectors
-// willing, i.e. they stop offering traffic), up to the given cycle bound.
-// It reports whether the machine fully drained.
-func (s *Sim) Drain(maxCycles int) bool {
-	if s.pool != nil {
-		s.pool.Start()
-		defer s.pool.Stop()
-	}
-	for i := 0; i < maxCycles; i++ {
-		if s.wd.Tripped() {
-			return false // stalled: no amount of further cycles drains it
-		}
-		s.Step()
-		if s.InFlight() == 0 {
-			return true
-		}
-	}
-	return s.InFlight() == 0
 }

@@ -70,18 +70,6 @@ type netRecord struct {
 	reps2 []core.Leaf
 }
 
-// cloneForDup returns a deep copy of the reply message for network-born
-// duplication: the path header and the reply's Leaves map are copied into
-// fresh storage, so the original's later path truncations — and
-// deliverCommon's recycling of the header into the injection pool — cannot
-// corrupt the duplicate, nor vice versa.
-func (r revMsg) cloneForDup() revMsg {
-	c := r
-	c.path = append(make([]uint8, 0, cap(r.path)), r.path...)
-	c.rep = r.rep.Clone()
-	return c
-}
-
 func (m fwdMsg) String() string {
 	return fmt.Sprintf("%v path=%v", m.req, m.path)
 }

@@ -66,7 +66,7 @@ func (s *Sim) runPhases() {
 
 // phaseWorker is the per-worker body of one parallel cycle.
 func (s *Sim) phaseWorker(w int) {
-	rot := int(s.cycle)
+	rot := int(s.Cycle())
 	workers := s.pool.Workers()
 	sh := &s.shards[w]
 
@@ -190,7 +190,7 @@ func (s *Sim) mergeShards() {
 		if sh.st.MaxOutQueue > s.stats.MaxOutQueue {
 			s.stats.MaxOutQueue = sh.st.MaxOutQueue
 		}
-		s.orphans += sh.orphans
+		s.AddOrphans(sh.orphans)
 		*sh = netShard{}
 	}
 }

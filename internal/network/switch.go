@@ -28,9 +28,9 @@ type switchNode struct {
 	// Section 5.1 (Config.BuggyLoadForwarding).
 	buggyForward bool
 	// trace, when non-nil, observes combine/decombine/reject events;
-	// cycleRef supplies the current cycle for event timestamps.
-	trace    func(Event)
-	cycleRef *int64
+	// now supplies the current cycle for event timestamps.
+	trace func(Event)
+	now   func() int64
 
 	// CombinedHere counts requests absorbed by combining at this switch.
 	CombinedHere int64
@@ -94,7 +94,7 @@ func (sw *switchNode) tryAccept(m fwdMsg, outPort int, inPort uint8, st *Stats) 
 		// opportunity for the partial-combining ablation.
 		sw.wait.Rejections++
 		if sw.trace != nil {
-			sw.trace(Event{Cycle: *sw.cycleRef, Kind: EvCombineReject,
+			sw.trace(Event{Cycle: sw.now(), Kind: EvCombineReject,
 				ID: m.req.ID, Addr: m.req.Addr, Stage: sw.stage, Switch: sw.index})
 		}
 	}
@@ -126,7 +126,7 @@ func (sw *switchNode) tryAccept(m fwdMsg, outPort int, inPort uint8, st *Stats) 
 			sw.CombinedHere++
 			st.Combines++
 			if sw.trace != nil {
-				sw.trace(Event{Cycle: *sw.cycleRef, Kind: EvCombine,
+				sw.trace(Event{Cycle: sw.now(), Kind: EvCombine,
 					ID: tc.Rec.ID1, ID2: tc.Rec.ID2, Addr: m.req.Addr,
 					Stage: sw.stage, Switch: sw.index})
 			}
@@ -187,7 +187,7 @@ func (sw *switchNode) acceptReply(r revMsg) {
 	if rec, ok := sw.wait.PopMatch(r.rep.ID, match); ok {
 		r1, r2 := core.DecombineExact(rec.Record, r.rep)
 		if sw.trace != nil {
-			sw.trace(Event{Cycle: *sw.cycleRef, Kind: EvDecombine,
+			sw.trace(Event{Cycle: sw.now(), Kind: EvDecombine,
 				ID: r1.ID, ID2: r2.ID, Stage: sw.stage, Switch: sw.index})
 		}
 		sw.acceptReply(revMsg{

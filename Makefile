@@ -64,9 +64,12 @@ syncbench:
 
 # parbench runs the parallel-stepper and barrier microbenchmarks (E15
 # curve; the full sweeps also land in BENCH_combining.json under
-# parallel_speedup and barrier_microbench).
+# parallel_speedup and barrier_microbench), then one iteration of the
+# serial 1,024-processor hot-spot cycle benchmark (ns/cycle, allocs/cycle)
+# so every run builds it.
 parbench:
 	go test -bench='BenchmarkParallelStep|BenchmarkBarrier' -benchmem ./internal/network/ ./internal/par/
+	go test -run='^$$' -bench=BenchmarkOmegaHotCycle -benchtime=1x -benchmem ./internal/network/
 
 # profile runs a representative hot-spot sweep under the pprof hooks and
 # leaves cpu.out/mem.out for `go tool pprof -top`.

@@ -33,8 +33,10 @@ const Unbounded = -1
 
 // NewWaitBuffer returns a buffer holding at most capacity records;
 // capacity 0 disables combining entirely and Unbounded removes the limit.
+// The record map is made on the first push, so a switch that never
+// combines costs no map.
 func NewWaitBuffer[R any](capacity int) *WaitBuffer[R] {
-	return &WaitBuffer[R]{capacity: capacity, recs: make(map[word.ReqID][]R)}
+	return &WaitBuffer[R]{capacity: capacity}
 }
 
 // Len returns the number of records currently held.
@@ -52,6 +54,9 @@ func (b *WaitBuffer[R]) Push(id word.ReqID, rec R) bool {
 		b.Rejections++
 		return false
 	}
+	if b.recs == nil {
+		b.recs = make(map[word.ReqID][]R)
+	}
 	b.recs[id] = append(b.recs[id], rec)
 	b.size++
 	b.Combines++
@@ -66,6 +71,10 @@ func (b *WaitBuffer[R]) Push(id word.ReqID, rec R) bool {
 // record's second requester recovers by retransmitting, and the stale entry
 // merely occupies a slot until the run ends.
 func (b *WaitBuffer[R]) PopMatch(id word.ReqID, match func(R) bool) (R, bool) {
+	if b.size == 0 {
+		var zero R
+		return zero, false // most replies pass an empty buffer: skip the map
+	}
 	stack := b.recs[id]
 	for i := len(stack) - 1; i >= 0; i-- {
 		if !match(stack[i]) {
@@ -106,6 +115,10 @@ func (b *WaitBuffer[R]) Flush() []R {
 // false when the reply was never combined at this buffer and should be
 // forwarded as is.
 func (b *WaitBuffer[R]) Pop(id word.ReqID) (R, bool) {
+	if b.size == 0 {
+		var zero R
+		return zero, false
+	}
 	stack := b.recs[id]
 	if len(stack) == 0 {
 		var zero R

@@ -89,11 +89,15 @@ type Setup[F any] struct {
 
 	// The memory link's hooks, called only under an adversarial plan.
 	// Req projects the request out of a message; File records a verified
-	// request's metadata as it enters module mod; ModuleReady reports
+	// request's metadata as it enters module mod; Drop releases a message
+	// the link quarantined (nil: nothing to release); ModuleReady reports
 	// whether a request released from the link's limbo can enter mod this
-	// cycle (nil: the module is alive and has input room).
+	// cycle (nil: the module is alive and has input room).  The link
+	// duplicates only the wire request, never a message, so File and Drop
+	// see each message at most once.
 	Req         func(*F) *core.Request
 	File        func(mod int, m F)
+	Drop        func(m F)
 	ModuleReady func(mod int) bool
 	// Land takes a verified reply off the processor link (nil: Complete).
 	Land func(Delivery)
@@ -393,6 +397,9 @@ func (e *Endpoint[F]) enter(mod int, m F) {
 	}
 	if !core.RequestOK(wire) {
 		e.flt.NoteCorruptDropped()
+		if e.in.Drop != nil {
+			e.in.Drop(m)
+		}
 		return // quarantined: equivalent to a detected drop on this link
 	}
 	e.in.File(mod, m)
@@ -540,7 +547,8 @@ func (e *Endpoint[F]) Complete(d Delivery) {
 // is the interior's share — its hop, feed and service counters; the
 // endpoint adds issues, completions, orphans, module busy cycles and fault
 // events.  Any message movement changes the sum, so if it freezes with
-// work in flight nothing is moving anywhere.
+// work in flight nothing is moving anywhere.  The in-flight count matters
+// only on such a frozen cycle, so it is computed only then.
 func (e *Endpoint[F]) EndCycle(saturated bool, sig int64) {
 	e.sat.Observe(saturated)
 	sig += e.tally.Issued + e.tally.Completed + e.orphans
@@ -550,7 +558,11 @@ func (e *Endpoint[F]) EndCycle(saturated bool, sig int64) {
 	if e.flt != nil {
 		sig += e.flt.Injected()
 	}
-	if e.wd.Observe(e.now, e.InFlight(), sig) {
+	inflight := 0
+	if e.wd.Stuck(sig) {
+		inflight = e.InFlight()
+	}
+	if e.wd.Observe(e.now, inflight, sig) {
 		e.tally.WatchdogTrips++
 	}
 }

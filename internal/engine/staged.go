@@ -73,10 +73,11 @@ func (b stagedBase) validate(name string) error {
 
 // digit returns base-radix digit i of line; setDigit0 replaces digit 0.
 func (b stagedBase) digit(line, i int) int {
+	stride := 1
 	for ; i > 0; i-- {
-		line /= b.radix
+		stride *= b.radix
 	}
-	return line % b.radix
+	return line / stride % b.radix
 }
 
 // swapDigits exchanges base-radix digits 0 and i of line.

@@ -56,6 +56,14 @@ func (w *Watchdog) Observe(cycle int64, inflight int, sig int64) bool {
 	return false
 }
 
+// Stuck reports whether Observe would read its in-flight count for
+// signature sig: the watchdog is armed and sig repeats the last one.  On
+// any other cycle Observe ignores the count, so a caller whose count is
+// expensive computes it only when Stuck says so and passes 0 otherwise.
+func (w *Watchdog) Stuck(sig int64) bool {
+	return w != nil && w.limit > 0 && !w.tripped && sig == w.lastSig
+}
+
 // Tripped reports whether the watchdog has declared a stall.
 func (w *Watchdog) Tripped() bool { return w != nil && w.tripped }
 

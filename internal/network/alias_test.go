@@ -3,10 +3,10 @@ package network
 // Regression tests for the duplicate-delivery aliasing bug: before the
 // Clone fixes, the dup branches shallow-copied messages, so the original
 // and the duplicate shared the path header's backing array and the
-// reply's Leaves map.  That was latent until path recycling landed —
-// every delivered header returns to the injection pool, so a shared
-// header was recycled twice, and two later in-flight requests would build
-// their routes in the same array.
+// reply's Leaves map.  That was latent until header recycling landed —
+// a shared header was recycled twice, and two later in-flight requests
+// would build their routes in the same array.  Path headers now live in
+// slab slots, and the links duplicate only wire values, never a handle.
 
 import (
 	"bytes"
@@ -38,11 +38,10 @@ func TestRequestCloneIndependence(t *testing.T) {
 }
 
 // TestDupDeliveryPathPoolIntegrity is the end-to-end regression: under a
-// duplication-heavy plan, drain to quiescence and check that no path
-// header was recycled into the pool twice.  With the pre-fix shallow dup
-// copy, the original and the duplicate recycled the same backing array
-// back to back, and the pool would hand one array to two in-flight
-// requests.
+// duplication-heavy plan, drain to quiescence and check that no slab slot
+// (and so no path header) was freed twice or is held in two places.  A
+// duplicate that carried a handle would free its slot a second time, and
+// the slab would hand one slot to two in-flight requests.
 func TestDupDeliveryPathPoolIntegrity(t *testing.T) {
 	const n = 16
 	inj := make([]Injector, n)
@@ -62,16 +61,8 @@ func TestDupDeliveryPathPoolIntegrity(t *testing.T) {
 	if sim.Stats().Completed == 0 {
 		t.Fatalf("workload completed nothing — the dup plan never exercised delivery")
 	}
-	// At quiescence every delivered header is back in the pool; each entry
-	// must be a distinct array.  (&p[:1][0] is legal for the zero-length
-	// entries because every pooled array keeps capacity k.)
-	seen := make(map[*uint8]bool, len(sim.pathFree))
-	for _, p := range sim.pathFree {
-		ptr := &p[:1][0]
-		if seen[ptr] {
-			t.Fatalf("path array %p recycled into the pool twice — a dup delivery shared its header", ptr)
-		}
-		seen[ptr] = true
+	if _, err := slotHolders(sim); err != nil {
+		t.Fatalf("a dup delivery shared a slot: %v", err)
 	}
 }
 
@@ -168,8 +159,9 @@ func (f *fixedInjector) Next(cycle int64) (Injection, bool) {
 
 func (f *fixedInjector) Deliver(core.Reply, int64) { f.outstanding-- }
 
-// TestParallelStepZeroAlloc: after warmup — queues, delivery buffers and
-// the path pool at capacity — a clean parallel cycle allocates nothing.
+// TestParallelStepZeroAlloc: after warmup — queues, delivery buffers, the
+// slab and the shards' free lists at capacity — a clean parallel cycle
+// allocates nothing.
 func TestParallelStepZeroAlloc(t *testing.T) {
 	const n = 16
 	inj := make([]Injector, n)
@@ -188,8 +180,8 @@ func TestParallelStepZeroAlloc(t *testing.T) {
 }
 
 // TestSerialStepZeroAlloc: the serial stepper's steady state is
-// allocation-free too — the path pool and value-typed pending slots are
-// shared with the parallel path.
+// allocation-free too — the slab and value-typed pending slots are shared
+// with the parallel path.
 func TestSerialStepZeroAlloc(t *testing.T) {
 	const n = 16
 	inj := make([]Injector, n)

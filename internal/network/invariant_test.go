@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,14 +33,18 @@ func TestInvariantsUnderLoad(t *testing.T) {
 				t.Fatalf("waitCap=%d cycle %d: %d issued but %d completed+inflight",
 					waitCap, c, st.Issued, got)
 			}
+			// The live-slot count the watchdog reads is the physical
+			// occupancy a full scan finds.
+			if live, scan := sim.occupancy(), scanOccupancy(sim); live != scan {
+				t.Fatalf("waitCap=%d cycle %d: %d live slots but the scan finds %d messages",
+					waitCap, c, live, scan)
+			}
 			// Queue capacity respected everywhere.
-			for s, stage := range sim.stages {
-				for i, sw := range stage {
-					for port := 0; port < 2; port++ {
-						if len(sw.outQ[port]) > 3 {
-							t.Fatalf("waitCap=%d: stage %d switch %d port %d queue %d > cap 3",
-								waitCap, s, i, port, len(sw.outQ[port]))
-						}
+			for s := range sim.stages {
+				for line, q := range sim.stages[s].outQ {
+					if len(q) > 3 {
+						t.Fatalf("waitCap=%d: stage %d switch %d port %d queue %d > cap 3",
+							waitCap, s, line/2, line%2, len(q))
 					}
 				}
 			}
@@ -56,8 +61,8 @@ func TestInvariantsUnderLoad(t *testing.T) {
 			t.Fatalf("waitCap=%d: completed %d != issued %d after drain", waitCap, st.Completed, st.Issued)
 		}
 		// All wait buffers must be empty at quiescence.
-		for _, stage := range sim.stages {
-			for _, sw := range stage {
+		for _, col := range sim.stages {
+			for _, sw := range col.sw {
 				if sw.wait.Len() != 0 {
 					t.Fatalf("waitCap=%d: wait buffer holds %d records after drain", waitCap, sw.wait.Len())
 				}
@@ -90,13 +95,11 @@ func TestReverseQueueBoundInvariant(t *testing.T) {
 	sim := NewSim(Config{Procs: n, QueueCap: 2, RevQueueCap: revCap, WaitBufCap: waitCap}, inj)
 	for c := 0; c < cycles; c++ {
 		sim.Step()
-		for s, stage := range sim.stages {
-			for i, sw := range stage {
-				for port, q := range sw.revQ {
-					if len(q) > bound {
-						t.Fatalf("cycle %d: stage %d switch %d port %d reverse queue %d > bound %d",
-							c, s, i, port, len(q), bound)
-					}
+		for s := range sim.stages {
+			for line, q := range sim.stages[s].revQ {
+				if len(q) > bound {
+					t.Fatalf("cycle %d: stage %d switch %d port %d reverse queue %d > bound %d",
+						c, s, line/2, line%2, len(q), bound)
 				}
 			}
 		}
@@ -145,7 +148,7 @@ func TestWatchdogTripsOnWedgedNetwork(t *testing.T) {
 	const limit = 200
 	inj, _ := emptyInjectors(8)
 	sim := NewSim(Config{Procs: 8, WaitBufCap: 4, WatchdogCycles: limit}, inj)
-	if !sim.stages[0][0].wait.Push(word.ReqID(999), netRecord{}) {
+	if !sim.stages[0].sw[0].wait.Push(word.ReqID(999), netRecord{second: sim.slab.get()}) {
 		t.Fatal("could not plant the orphan wait record")
 	}
 	steps := 0
@@ -182,7 +185,8 @@ func TestZeroWindowDefaults(t *testing.T) {
 }
 
 // TestPathHeadersConsistent: every request that reaches memory carries a
-// path header with exactly one entry per stage, each a valid port bit.
+// path header with one valid port bit per stage, and retracing the header
+// from its module leads back to a processor the request represents.
 func TestPathHeadersConsistent(t *testing.T) {
 	const n = 16
 	inj := make([]Injector, n)
@@ -190,21 +194,33 @@ func TestPathHeadersConsistent(t *testing.T) {
 		inj[p] = NewStochastic(p, n, TrafficConfig{Rate: 0.8, HotFraction: 0.3, Window: 4}, 33)
 	}
 	sim := NewSim(Config{Procs: n, WaitBufCap: core.Unbounded}, inj)
-	k := sim.k
+	checked := 0
 	for c := 0; c < 500; c++ {
 		sim.Step()
-		for _, shard := range sim.meta {
-			for id, m := range shard {
-				if len(m.path) != k {
-					t.Fatalf("request %d at memory has %d path entries, want %d", id, len(m.path), k)
-				}
-				for _, p := range m.path {
+		for mod, shard := range sim.meta {
+			for id, h := range shard {
+				line := mod
+				for stage := sim.k - 1; stage >= 0; stage-- {
+					p := *sim.slab.port(h, stage)
 					if p > 1 {
-						t.Fatalf("request %d has port %d in its path", id, p)
+						t.Fatalf("request %d has port %d at stage %d of its path", id, p, stage)
+					}
+					line = line/sim.radix*sim.radix + int(p)
+					if stage > 0 {
+						line = sim.topo.PrevLine(stage, line)
 					}
 				}
+				proc := word.ProcID(sim.topo.LineProc(line))
+				req := &sim.slab.msgs[h].req
+				if !slices.Contains(req.Srcs, proc) {
+					t.Fatalf("request %d's path retraces to processor %d, not one of %v", id, proc, req.Srcs)
+				}
+				checked++
 			}
 		}
+	}
+	if checked == 0 {
+		t.Fatal("no request was ever seen at memory")
 	}
 }
 

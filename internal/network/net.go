@@ -253,36 +253,25 @@ type (
 // Sim is the cycle-driven machine: the staged network of combining
 // switches and the memory modules behind it.  The embedded Endpoint is
 // the machine's edge — processor ports, faults, the terminal links,
-// completion and the Run/Drain loop; Sim holds the interior.
+// completion and the Run/Drain loop; Sim holds the interior.  Messages
+// inside are slab handles (see netmsg.go).
 type Sim struct {
-	engine.Endpoint[fwdMsg]
+	engine.Endpoint[handle]
 
 	cfg    Config
 	topo   engine.Staged // the wiring; all routing arithmetic lives here
 	n      int           // processors
 	k      int           // stages
 	radix  int           // switch degree
-	stages [][]*switchNode
+	stages []column
+	slab   *slab
 
-	// pathFree recycles delivered replies' path headers back to the
-	// injection path (getPath/putPath).  Every array holds capacity for
-	// all k stages, so the appends along the forward path never regrow
-	// one — the steady-state cycle path allocates nothing.  Only
-	// single-goroutine phases touch it (injection, worker-0 delivery
-	// commit).
-	pathFree [][]uint8
-	// meta preserves message metadata across the memory module, which
-	// only transports core requests.  It is sharded per module: entry
+	// meta maps each request inside a memory module to its slot, so the
+	// module's reply finds its way back.  It is sharded per module: entry
 	// meta[mod][id] is written by the stage-(k−1) switch feeding module
 	// mod and consumed when that module's reply emerges, so under the
-	// parallel stepper each shard has exactly one owner per phase.  The
-	// values are boxed: fwdMsg is larger than a map's inline-value limit,
-	// so storing it directly would heap-allocate a hidden box on every
-	// insert — instead metaFree recycles the boxes per module (same
-	// single-owner sharding as meta itself), keeping the steady-state
-	// memory handoff allocation-free.
-	meta     []map[word.ReqID]*fwdMsg
-	metaFree [][]*fwdMsg
+	// parallel stepper each shard has exactly one owner per phase.
+	meta []map[word.ReqID]handle
 
 	// stats holds the interior counters; the port-side ones live in the
 	// endpoint and are folded in by Stats.
@@ -297,18 +286,22 @@ type Sim struct {
 	stallMask [][]bool
 	crashMask [][]bool
 
+	// shards holds one cache-line-padded scratch shard per worker (one for
+	// the serial stepper): the phases count statistics and free slots into
+	// their worker's shard, and mergeShards folds them in serially at the
+	// end of the cycle.
+	shards []netShard
+
 	// Parallel stepper state (Config.Workers > 1, nil/empty otherwise):
 	// the worker pool (persistent workers bracketed by Run/Drain), the
 	// phase barrier, the phase function handed to the pool each cycle
 	// (bound once at construction so the cycle loop allocates no
-	// closures), one cache-line-padded stats shard per worker merged
-	// serially after the phases, and the per-rotation-position stage-0
-	// delivery buffers replayed in serial order by worker 0.  See
-	// parallel.go and DESIGN.md §6.
+	// closures), and the per-rotation-position stage-0 delivery buffers
+	// replayed in serial order by worker 0.  See parallel.go and DESIGN.md
+	// §6.
 	pool     *par.Pool
 	bar      par.Barrier
 	stepFn   func(w int)
-	shards   []netShard
 	delivBuf [][]delivery
 	// Conflict-group partitions per stage, derived from the wiring at
 	// construction (nil when serial); see engine.FwdGroups/RevGroups.
@@ -331,27 +324,25 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	n := cfg.Procs
 	radix := cfg.Radix
 	k := topo.Stages()
-	pol := core.Policy{AllowReversal: cfg.AllowReversal}
-	stages := make([][]*switchNode, k)
-	for s := range stages {
-		stages[s] = make([]*switchNode, n/radix)
-		for i := range stages[s] {
-			stages[s][i] = newSwitch(s, i, radix, cfg.QueueCap, cfg.RevQueueCap, cfg.WaitBufCap, pol, cfg.BuggyLoadForwarding)
-		}
+	sl := newSlab(k)
+	stages := make([]column, k)
+	for st := range stages {
+		stages[st] = newColumn(st, n/radix, &cfg, sl)
 	}
-	meta := make([]map[word.ReqID]*fwdMsg, n)
+	meta := make([]map[word.ReqID]handle, n)
 	for i := range meta {
-		meta[i] = make(map[word.ReqID]*fwdMsg)
+		meta[i] = make(map[word.ReqID]handle)
 	}
 	s := &Sim{
-		cfg:      cfg,
-		topo:     topo,
-		n:        n,
-		k:        k,
-		radix:    radix,
-		stages:   stages,
-		meta:     meta,
-		metaFree: make([][]*fwdMsg, n),
+		cfg:    cfg,
+		topo:   topo,
+		n:      n,
+		k:      k,
+		radix:  radix,
+		stages: stages,
+		slab:   sl,
+		meta:   meta,
+		shards: make([]netShard, 1),
 	}
 	if cfg.Faults != nil {
 		s.stallMask = newMask(k, n/radix)
@@ -380,7 +371,7 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 	if cfg.MemQueueCap > 0 {
 		memOpts = append(memOpts, memory.WithQueueCap(cfg.MemQueueCap))
 	}
-	setup := engine.Setup[fwdMsg]{
+	setup := engine.Setup[handle]{
 		Name:        "network",
 		Injectors:   inj,
 		Modules:     n,
@@ -391,8 +382,9 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 		Step:        s.Step,
 		Occupancy:   s.occupancy,
 		StallDetail: s.stallDetail,
-		Req:         fwdReq,
-		File:        s.metaInsert,
+		Req:         sl.reqOf,
+		File:        func(mod int, h handle) { s.metaInsert(mod, h, &s.shards[0]) },
+		Drop:        sl.put,
 		MemSite:     func(mod int) uint64 { return faults.Site(k, mod, 0) },
 		ProcSite:    func(proc int) uint64 { return faults.Site(0, proc, 0) },
 	}
@@ -405,11 +397,8 @@ func NewSim(cfg Config, inj []Injector) *Sim {
 			cfg.Trace(Event{Cycle: s.Cycle(), Kind: EvDeliver,
 				ID: rep.ID, Stage: -1, Switch: proc})
 		}
-		for _, stage := range stages {
-			for _, sw := range stage {
-				sw.trace = cfg.Trace
-				sw.now = s.Cycle
-			}
+		for st := range stages {
+			stages[st].now = s.Cycle
 		}
 	}
 	s.Init(setup)
@@ -434,9 +423,6 @@ func (s *Sim) outPortFor(stage int, dst int) int {
 	return s.topo.OutPort(stage, dst)
 }
 
-// destModule is the home module of an address.
-func (s *Sim) destModule(addr word.Addr) int { return s.Memory().HomeOf(addr) }
-
 // Step advances the machine one cycle.
 func (s *Sim) Step() {
 	s.StartCycle()
@@ -453,12 +439,14 @@ func (s *Sim) Step() {
 	}
 	s.Redrive()
 	if s.pool != nil {
-		s.runPhases()
+		s.pool.Run(s.stepFn)
 	} else {
-		s.drainReverse()
-		s.tickMemory()
-		s.drainForward()
+		sh := &s.shards[0]
+		s.drainReverse(sh)
+		s.tickMemory(sh)
+		s.drainForward(sh)
 	}
+	s.mergeShards()
 	s.injectAll()
 	s.EndCycle(s.treeSaturated(), s.stats.FwdHops+s.stats.RevHops+s.stats.MemAcks)
 }
@@ -471,7 +459,7 @@ func (s *Sim) updateCrashState() {
 	for stage := range s.crashMask {
 		for si := range s.crashMask[stage] {
 			if s.CrashEdge(flt.SwitchCrashed(stage, si, s.Cycle()), &s.crashMask[stage][si]) {
-				s.Lost(s.stages[stage][si].crash())
+				s.Lost(s.stages[stage].crash(si))
 			}
 		}
 	}
@@ -491,14 +479,22 @@ func (s *Sim) swDead(stage, idx int) bool {
 // hot-spot backpressure has propagated from the memory modules back to the
 // injection ports — Pfister & Norton's tree saturation.
 func (s *Sim) treeSaturated() bool {
-	if s.cfg.QueueCap <= 0 {
+	qc := s.cfg.QueueCap
+	if qc <= 0 {
 		return false // unbounded queues never fill
 	}
-	for _, stage := range s.stages {
+	for st := range s.stages {
+		col := &s.stages[st]
 		full := false
-		for _, sw := range stage {
-			for port := 0; port < s.radix && !full; port++ {
-				full = len(sw.outQ[port]) >= s.cfg.QueueCap
+		for si, n := range col.nOut {
+			if int(n) < qc {
+				continue // too few messages for any port to be full
+			}
+			for _, q := range col.ports(col.outQ, si) {
+				if len(q) >= qc {
+					full = true
+					break
+				}
 			}
 			if full {
 				break
@@ -515,14 +511,13 @@ func (s *Sim) treeSaturated() bool {
 // and wait-buffer occupancy and the memory backlog.
 func (s *Sim) stallDetail() string {
 	detail := fmt.Sprintf("pending=%d meta=%d", s.Pending(), s.metaCount())
-	for st, stage := range s.stages {
+	for st := range s.stages {
+		col := &s.stages[st]
 		fwd, rev, wait := 0, 0, 0
-		for _, sw := range stage {
-			for port := 0; port < s.radix; port++ {
-				fwd += len(sw.outQ[port])
-				rev += len(sw.revQ[port])
-			}
-			wait += sw.wait.Len()
+		for i := range col.sw {
+			fwd += int(col.nOut[i])
+			rev += int(col.nRev[i])
+			wait += col.sw[i].wait.Len()
 		}
 		detail += fmt.Sprintf("\nstage %d: fwd=%d rev=%d wait=%d", st, fwd, rev, wait)
 	}
@@ -533,21 +528,16 @@ func (s *Sim) stallDetail() string {
 	return detail + fmt.Sprintf("\nmemory queued=%d", memQ)
 }
 
-// metaInsert files a request's metadata under its module shard, reusing a
-// recycled box so the steady-state insert allocates nothing.  The free
-// list shares meta's ownership partition: the stage-(k−1) switch phase
-// and the memory phase split over the same index range, so module mod's
-// list is only ever touched by the worker owning switch mod/radix.
-func (s *Sim) metaInsert(mod int, m fwdMsg) {
-	var box *fwdMsg
-	if free := s.metaFree[mod]; len(free) > 0 {
-		box = free[len(free)-1]
-		s.metaFree[mod] = free[:len(free)-1]
-	} else {
-		box = new(fwdMsg)
+// metaInsert files the request in slot h under its module shard.  A
+// retransmit that reaches memory while an earlier copy of the same id is
+// still inside displaces that copy's entry; the displaced slot is freed
+// here, and the reply that copy's module later emits is the orphan.
+func (s *Sim) metaInsert(mod int, h handle, sh *netShard) {
+	id := s.slab.msgs[h].req.ID
+	if old, dup := s.meta[mod][id]; dup {
+		s.release(sh, old)
 	}
-	*box = m
-	s.meta[mod][m.req.ID] = box
+	s.meta[mod][id] = h
 }
 
 // metaCount sums the per-module metadata shards (requests in memory).
@@ -559,20 +549,33 @@ func (s *Sim) metaCount() int {
 	return n
 }
 
+// release frees slot h from inside a phase: the slot is cleared now and
+// joins the free list when the shards merge.
+func (s *Sim) release(sh *netShard, h handle) {
+	s.slab.clear(h)
+	sh.freed = append(sh.freed, h)
+}
+
 // drainReverse moves one reply per reverse link per cycle, destination side
 // first so each reply advances at most one hop per cycle.  Switch and port
 // order rotate with the cycle so contending streams share a downstream
 // queue fairly (round-robin arbitration, as in real switches).
-func (s *Sim) drainReverse() {
+func (s *Sim) drainReverse(sh *netShard) {
 	rot := int(s.Cycle())
-	n0 := len(s.stages[0])
-	for si := 0; si < n0; si++ {
-		s.revSwitch0((si+rot)%n0, &s.stats, nil)
+	n0 := len(s.stages[0].sw)
+	for si, idx := 0, rot%n0; si < n0; si, idx = si+1, idx+1 {
+		if idx == n0 {
+			idx = 0
+		}
+		s.revSwitch0(idx, sh, nil)
 	}
 	for stage := 1; stage < s.k; stage++ {
-		ns := len(s.stages[stage])
-		for si := 0; si < ns; si++ {
-			s.revSwitch(stage, (si+rot)%ns, &s.stats)
+		ns := len(s.stages[stage].sw)
+		for si, idx := 0, rot%ns; si < ns; si, idx = si+1, idx+1 {
+			if idx == ns {
+				idx = 0
+			}
+			s.revSwitch(stage, idx, sh)
 		}
 	}
 }
@@ -583,36 +586,39 @@ func (s *Sim) drainReverse() {
 // conflict group; deliveries are appended to sink (when non-nil) for the
 // serial replay instead of delivered inline, because injectors and the
 // retry tracker are single-goroutine.
-func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
+func (s *Sim) revSwitch0(idx int, sh *netShard, sink *[]delivery) {
+	col := &s.stages[0]
+	if col.nRev[idx] == 0 {
+		return // nothing queued: the switch is not touched
+	}
 	if s.stallMask != nil && s.stallMask[0][idx] {
 		return // blacked-out switch moves nothing this cycle
 	}
 	if s.swDead(0, idx) {
 		return // crashed switch moves nothing until it restarts
 	}
-	sw := s.stages[0][idx]
-	rot := int(s.Cycle())
 	flt := s.Faults()
-	for pi := 0; pi < s.radix; pi++ {
-		port := (pi + rot) % s.radix
-		if len(sw.revQ[port]) == 0 {
+	for pi, port := 0, int(s.Cycle())%s.radix; pi < s.radix; pi, port = pi+1, port+1 {
+		if port == s.radix {
+			port = 0
+		}
+		inLine := idx*s.radix + port
+		if len(col.revQ[inLine]) == 0 {
 			continue
 		}
-		inLine := sw.index*s.radix + port
-		r := sw.popRev(port)
-		if flt != nil && (flt.DropReply(
-			faults.Site(0, sw.index, port), r.rep.ID, r.rep.Attempt) ||
-			flt.DropLinkRev(0, sw.index, s.Cycle())) {
+		h := col.popRev(idx, port)
+		if flt != nil && s.dropReply(0, idx, port, h) {
+			s.release(sh, h)
 			continue // reply lost on the reverse link
 		}
-		st.RevHops++
-		st.RevSlots += int64(r.slots)
+		sh.st.RevHops++
+		sh.st.RevSlots += int64(s.slab.routes[h].rvals)
 		proc := s.topo.LineProc(inLine)
 		if sink != nil {
-			*sink = append(*sink, delivery{proc: proc, r: r})
+			*sink = append(*sink, delivery{proc: proc, h: h})
 			continue
 		}
-		s.deliver(proc, r)
+		s.deliver(proc, h, sh)
 	}
 }
 
@@ -622,74 +628,86 @@ func (s *Sim) revSwitch0(idx int, st *Stats, sink *[]delivery) {
 // idx/radix + port·(n/radix²), so exactly the radix switches sharing
 // idx/radix touch the same previous-stage set — the conflict groups the
 // parallel stepper partitions on.
-func (s *Sim) revSwitch(stage, idx int, st *Stats) {
+func (s *Sim) revSwitch(stage, idx int, sh *netShard) {
+	col := &s.stages[stage]
+	if col.nRev[idx] == 0 {
+		return // nothing queued: the switch is not touched
+	}
 	if s.stallMask != nil && s.stallMask[stage][idx] {
 		return // blacked-out switch moves nothing this cycle
 	}
 	if s.swDead(stage, idx) {
 		return // crashed switch moves nothing until it restarts
 	}
-	sw := s.stages[stage][idx]
-	rot := int(s.Cycle())
+	prev := &s.stages[stage-1]
 	flt := s.Faults()
-	for pi := 0; pi < s.radix; pi++ {
-		port := (pi + rot) % s.radix
-		if len(sw.revQ[port]) == 0 {
+	for pi, port := 0, int(s.Cycle())%s.radix; pi < s.radix; pi, port = pi+1, port+1 {
+		if port == s.radix {
+			port = 0
+		}
+		inLine := idx*s.radix + port
+		if len(col.revQ[inLine]) == 0 {
 			continue
 		}
-		inLine := sw.index*s.radix + port
 		prevLine := s.topo.PrevLine(stage, inLine)
-		prev := s.stages[stage-1][prevLine/s.radix]
-		if s.swDead(stage-1, prevLine/s.radix) {
+		prevIdx := prevLine / s.radix
+		if s.swDead(stage-1, prevIdx) {
 			// Downstream switch is dead: hold the reply here so the crash
 			// costs only the flushed state, not a stream of new losses.
-			st.HoldsRev++
+			sh.st.HoldsRev++
 			continue
 		}
-		if !prev.canAcceptReply() {
+		if !prev.canAcceptReply(prevIdx) {
 			// Downstream reverse credits exhausted: hold the reply here.
 			// Stage order is ascending, so the credits this pop would need
 			// were already replenished this cycle if the downstream switch
 			// moved anything.
-			st.HoldsRev++
+			sh.st.HoldsRev++
 			continue
 		}
-		r := sw.popRev(port)
-		if flt != nil && (flt.DropReply(
-			faults.Site(stage, sw.index, port), r.rep.ID, r.rep.Attempt) ||
-			flt.DropLinkRev(stage, sw.index, s.Cycle())) {
+		h := col.popRev(idx, port)
+		if flt != nil && s.dropReply(stage, idx, port, h) {
+			s.release(sh, h)
 			continue // reply lost on the reverse link
 		}
-		st.RevHops++
-		st.RevSlots += int64(r.slots)
-		prev.acceptReply(r)
+		sh.st.RevHops++
+		sh.st.RevSlots += int64(s.slab.routes[h].rvals)
+		prev.acceptReply(prevIdx, h)
 	}
 }
 
-// deliver hands a reply that left stage 0 to the endpoint.  Its path
-// header, empty by now, returns to the injection pool first — before the
-// reply link, which may duplicate the reply, so each header recycles once.
-func (s *Sim) deliver(proc int, r revMsg) {
-	s.putPath(r.path)
-	s.Deliver(engine.Delivery{Rep: r.rep, Proc: proc, Issue: r.issueCycle, Hot: r.hot})
+// dropReply draws the fault plan's verdict on the reply in slot h crossing
+// the reverse link out of port port of switch idx at stage.
+func (s *Sim) dropReply(stage, idx, port int, h handle) bool {
+	flt, rep := s.Faults(), &s.slab.msgs[h].rep
+	return flt.DropReply(faults.Site(stage, idx, port), rep.ID, rep.Attempt) ||
+		flt.DropLinkRev(stage, idx, s.Cycle())
+}
+
+// deliver hands the reply in slot h, which left stage 0, to the endpoint.
+// The slot is freed first: the delivery is a value, so the endpoint's reply
+// link, which may duplicate it, never sees a handle.
+func (s *Sim) deliver(proc int, h handle, sh *netShard) {
+	m := &s.slab.msgs[h]
+	d := engine.Delivery{Rep: m.rep, Proc: proc, Issue: m.issue, Hot: m.hot}
+	s.release(sh, h)
+	s.Deliver(d)
 }
 
 // tickMemory advances every module and feeds completed replies into the
 // reverse side of the last stage.
-func (s *Sim) tickMemory() {
-	var orphans int64
+func (s *Sim) tickMemory(sh *netShard) {
 	for mod := 0; mod < s.n; mod++ {
-		s.tickModule(mod, &s.stats, &orphans)
+		s.tickModule(mod, sh)
 	}
-	s.AddOrphans(orphans)
 }
 
 // tickModule advances one module one cycle.  A module touches only its own
 // metadata shard and the last-stage switch mod/radix, so the radix modules
 // behind one last-stage switch form a conflict group under the parallel
-// stepper; orphans accumulate through the pointer so each worker's count
-// stays on its own shard.
-func (s *Sim) tickModule(mod int, st *Stats, orphans *int64) {
+// stepper.  The module's reply travels in the slot its request was filed
+// under, so the memory phase never takes a slot.
+func (s *Sim) tickModule(mod int, sh *netShard) {
 	if s.ModDead(mod) {
 		return // crashed module serves nothing until it restarts
 	}
@@ -699,62 +717,65 @@ func (s *Sim) tickModule(mod int, st *Stats, orphans *int64) {
 		// leaves join the committed cache and withheld replies become
 		// releasable (output commit) — see memory.Module.Checkpoint.
 		md.Checkpoint()
-		st.Checkpoints++
+		sh.st.Checkpoints++
 	}
 	flt := s.Faults()
 	if flt != nil && flt.MemStalled(mod, s.Cycle()) {
 		return // module inside a slowdown window serves nothing
 	}
-	sw := s.stages[s.k-1][mod/s.radix]
-	if !sw.canAcceptReply() {
+	last := &s.stages[s.k-1]
+	if !last.canAcceptReply(mod / s.radix) {
 		// The last-stage switch has no reverse credit: the module's
 		// output port is blocked, so it holds its completed request
 		// rather than emitting a reply with nowhere to go.
-		st.HoldsMemOut++
+		sh.st.HoldsMemOut++
+		return
+	}
+	if flt == nil && len(s.meta[mod]) == 0 {
+		// On a healthy machine every request inside a module is filed
+		// here, so an empty shard is an idle module: its Tick would
+		// change nothing.
 		return
 	}
 	rep, ok := md.Tick()
 	if !ok {
 		return
 	}
-	st.MemAcks++
-	box, found := s.meta[mod][rep.ID]
+	sh.st.MemAcks++
+	h, found := s.meta[mod][rep.ID]
 	if !found {
 		if flt != nil {
 			// Expected under retransmission: when an original and a
 			// retransmit both reach memory, the first reply consumes
 			// the metadata and the second becomes an orphan.
-			*orphans++
+			sh.orphans++
 			return
 		}
 		panic(fmt.Sprintf("network: cycle %d, module %d: reply id %d (%v) with no request metadata",
 			s.Cycle(), mod, rep.ID, rep))
 	}
-	m := *box
-	*box = fwdMsg{}
-	s.metaFree[mod] = append(s.metaFree[mod], box)
 	delete(s.meta[mod], rep.ID)
+	m := &s.slab.msgs[h]
 	if s.cfg.Trace != nil {
 		s.cfg.Trace(Event{Cycle: s.Cycle(), Kind: EvMemServe,
 			ID: rep.ID, Addr: m.req.Addr, Stage: -1, Switch: mod})
 	}
-	sw.acceptReply(revMsg{
-		rep:        rep,
-		path:       m.path,
-		issueCycle: m.issueCycle,
-		hot:        m.hot,
-		slots:      boolSlots(rmw.NeedsValue(m.req.Op)),
-	})
+	m.rep = rep
+	s.slab.routes[h].rvals = boolSlots(rmw.NeedsValue(m.req.Op))
+	last.acceptReply(mod/s.radix, h)
 }
 
 // drainForward moves one request per forward link per cycle, memory side
 // first, with round-robin switch/port arbitration as in drainReverse.
-func (s *Sim) drainForward() {
+func (s *Sim) drainForward(sh *netShard) {
 	rot := int(s.Cycle())
 	for stage := s.k - 1; stage >= 0; stage-- {
-		ns := len(s.stages[stage])
-		for si := 0; si < ns; si++ {
-			s.fwdSwitch(stage, (si+rot)%ns, &s.stats)
+		ns := len(s.stages[stage].sw)
+		for si, idx := 0, rot%ns; si < ns; si, idx = si+1, idx+1 {
+			if idx == ns {
+				idx = 0
+			}
+			s.fwdSwitch(stage, idx, sh)
 		}
 	}
 }
@@ -766,23 +787,29 @@ func (s *Sim) drainForward() {
 // next-stage switches (idx mod n/radix²)·radix + port, so exactly the radix
 // switches congruent mod n/radix² share a next-stage set — the strided
 // conflict groups the parallel stepper partitions on.
-func (s *Sim) fwdSwitch(stage, idx int, st *Stats) {
+func (s *Sim) fwdSwitch(stage, idx int, sh *netShard) {
+	col := &s.stages[stage]
+	if col.nOut[idx] == 0 {
+		return // nothing queued: the switch is not touched
+	}
 	if s.stallMask != nil && s.stallMask[stage][idx] {
 		return // blacked-out switch moves nothing this cycle
 	}
 	if s.swDead(stage, idx) {
 		return // crashed switch moves nothing until it restarts
 	}
-	sw := s.stages[stage][idx]
-	rot := int(s.Cycle())
+	st := &sh.st
 	flt := s.Faults()
-	for pi := 0; pi < s.radix; pi++ {
-		port := (pi + rot) % s.radix
-		if len(sw.outQ[port]) == 0 {
+	for pi, port := 0, int(s.Cycle())%s.radix; pi < s.radix; pi, port = pi+1, port+1 {
+		if port == s.radix {
+			port = 0
+		}
+		outLine := idx*s.radix + port
+		if len(col.outQ[outLine]) == 0 {
 			continue
 		}
-		m := sw.outQ[port][0]
-		outLine := sw.index*s.radix + port
+		h := col.outQ[outLine][0]
+		rt := s.slab.routes[h]
 		if stage == s.k-1 {
 			// The link into module outLine.
 			if s.ModDead(outLine) {
@@ -800,96 +827,89 @@ func (s *Sim) fwdSwitch(stage, idx int, st *Stats) {
 				st.HoldsMem++
 				continue
 			}
-			sw.popFwd(port)
-			if flt != nil && (flt.DropForward(
-				faults.Site(s.k, outLine, 0), m.req.ID, m.req.Attempt) ||
-				flt.DropLinkFwd(s.k, outLine, s.Cycle())) {
+			col.popFwd(idx, port)
+			if flt != nil && s.dropForward(s.k, outLine, 0, h) {
+				s.release(sh, h)
 				continue // request lost on the memory link
 			}
 			st.FwdHops++
-			st.FwdSlots += int64(core.ValueSlots(m.req.Op))
+			st.FwdSlots += int64(rt.fvals)
 			if s.Adversarial() {
-				s.MemLink(outLine, m)
+				s.MemLink(outLine, h)
 				continue
 			}
 			st.MemRequests++
-			s.metaInsert(outLine, m)
-			md.Enqueue(m.req)
+			s.metaInsert(outLine, h, sh)
+			md.Enqueue(s.slab.msgs[h].req)
 			continue
 		}
 		nextLine := s.topo.NextLine(stage, outLine)
-		next := s.stages[stage+1][nextLine/s.radix]
-		if s.swDead(stage+1, nextLine/s.radix) {
+		nextIdx := nextLine / s.radix
+		if s.swDead(stage+1, nextIdx) {
 			continue // dead downstream switch: hold the request here
 		}
-		if flt != nil && (flt.DropForward(
-			faults.Site(stage+1, nextLine/s.radix, nextLine%s.radix), m.req.ID, m.req.Attempt) ||
-			flt.DropLinkFwd(stage+1, nextLine/s.radix, s.Cycle())) {
-			sw.popFwd(port)
+		if flt != nil && s.dropForward(stage+1, nextIdx, nextLine%s.radix, h) {
+			col.popFwd(idx, port)
+			s.release(sh, h)
 			continue // request lost on the inter-stage link
 		}
-		dst := s.destModule(m.req.Addr)
-		if next.tryAccept(m, s.outPortFor(stage+1, dst), uint8(nextLine%s.radix), st) {
-			sw.popFwd(port)
+		next := &s.stages[stage+1]
+		if next.tryAccept(nextIdx, h, s.outPortFor(stage+1, int(rt.dst)), uint8(nextLine%s.radix), st) {
+			col.popFwd(idx, port)
 			st.FwdHops++
-			st.FwdSlots += int64(core.ValueSlots(m.req.Op))
+			st.FwdSlots += int64(rt.fvals)
 		}
 	}
 }
 
-// getPath returns an empty path header with capacity for all k stages,
-// reusing storage recycled by deliver: at steady state the inject→deliver
-// loop cycles a fixed set of arrays and allocates nothing.
-func (s *Sim) getPath() []uint8 {
-	if n := len(s.pathFree); n > 0 {
-		p := s.pathFree[n-1]
-		s.pathFree = s.pathFree[:n-1]
-		return p
-	}
-	return make([]uint8, 0, s.k)
-}
-
-// putPath recycles a path header whose message left the machine.
-// Undersized arrays (grown by append on messages that entered without a
-// pooled header) are dropped so getPath's capacity guarantee holds.
-func (s *Sim) putPath(p []uint8) {
-	if cap(p) < s.k {
-		return
-	}
-	s.pathFree = append(s.pathFree, p[:0])
+// dropForward draws the fault plan's verdict on the request in slot h
+// crossing the forward link into port port of switch idx at stage (stage k
+// is the memory side).
+func (s *Sim) dropForward(stage, idx, port int, h handle) bool {
+	flt, req := s.Faults(), &s.slab.msgs[h].req
+	return flt.DropForward(faults.Site(stage, idx, port), req.ID, req.Attempt) ||
+		flt.DropLinkFwd(stage, idx, s.Cycle())
 }
 
 // injectAll offers each processor port's message to stage 0, in rotating
 // order so no processor port permanently outranks another.  A message
-// takes a path header only for its admission attempt; a refused attempt
-// returns it to the pool.
+// takes its slab slot for its admission attempt; a refused attempt frees
+// it again.
 func (s *Sim) injectAll() {
 	rot := int(s.Cycle())
 	flt := s.Faults()
-	for pi := 0; pi < s.n; pi++ {
-		proc := (pi + rot) % s.n
-		m, retry, ok := s.Offer(proc)
+	col := &s.stages[0]
+	for pi, p := 0, rot%s.n; pi < s.n; pi, p = pi+1, p+1 {
+		if p == s.n {
+			p = 0
+		}
+		m, retry, ok := s.Offer(p)
 		if !ok {
 			continue
 		}
-		line := s.topo.ProcLine(proc)
+		line := s.topo.ProcLine(p)
 		si, port := line/s.radix, line%s.radix
 		if s.swDead(0, si) {
 			continue // dead stage-0 switch: hold the request at the port
 		}
 		if flt != nil && (flt.DropForward(faults.Site(0, si, port), m.Req.ID, m.Req.Attempt) ||
 			flt.DropLinkFwd(0, si, s.Cycle())) {
-			s.Take(proc, retry) // lost on the processor-to-stage-0 link
+			s.Take(p, retry) // lost on the processor-to-stage-0 link
 			continue
 		}
-		fm := fwdMsg{req: m.Req, path: s.getPath(), issueCycle: m.Issue, hot: m.Hot}
-		if !s.stages[0][si].tryAccept(fm, s.outPortFor(0, s.destModule(m.Req.Addr)), uint8(port), &s.stats) {
-			s.putPath(fm.path)
+		h := s.slab.get()
+		sm := &s.slab.msgs[h]
+		sm.req, sm.issue, sm.hot = m.Req, m.Issue, m.Hot
+		dst := s.Memory().HomeOf(m.Req.Addr)
+		fvals := uint8(core.ValueSlots(m.Req.Op))
+		s.slab.routes[h] = route{addr: m.Req.Addr, dst: int32(dst), fvals: fvals}
+		if !col.tryAccept(si, h, s.outPortFor(0, dst), uint8(port), &s.stats) {
+			s.slab.put(h)
 			continue
 		}
 		s.stats.FwdHops++
-		s.stats.FwdSlots += int64(core.ValueSlots(m.Req.Op))
-		s.Take(proc, retry)
+		s.stats.FwdSlots += int64(fvals)
+		s.Take(p, retry)
 	}
 }
 
@@ -905,8 +925,9 @@ func (s *Sim) Stats() Stats {
 	st.WatchdogTrips = t.WatchdogTrips
 	st.MemRequests += s.LinkEnqueued()
 	st.Latency = s.Latency()
-	for _, stage := range s.stages {
-		for _, sw := range stage {
+	for c := range s.stages {
+		for i := range s.stages[c].sw {
+			sw := &s.stages[c].sw[i]
 			st.Rejects += sw.wait.Rejections
 			if sw.maxRev > st.MaxRevQueue {
 				st.MaxRevQueue = sw.maxRev
@@ -944,19 +965,6 @@ func (s *Sim) Snapshot() stats.Snapshot {
 }
 
 // occupancy counts the messages inside the network: queued in switches,
-// parked in wait buffers, or in memory.
-func (s *Sim) occupancy() int {
-	n := 0
-	for _, stage := range s.stages {
-		for _, sw := range stage {
-			for port := 0; port < s.radix; port++ {
-				n += len(sw.outQ[port]) + len(sw.revQ[port])
-			}
-			n += sw.wait.Len()
-		}
-	}
-	for mod := 0; mod < s.n; mod++ {
-		n += s.Memory().Module(mod).QueueLen()
-	}
-	return n
-}
+// parked in wait buffers, or in memory.  Each of them holds exactly one
+// slab slot, so the count is the slab's live slots.
+func (s *Sim) occupancy() int { return s.slab.live() }

@@ -25,8 +25,10 @@ package network
 //                       congruent mod n/radix²)
 //
 // Mutable state a phase shares across groups is commutative: stats go to
-// per-worker shards merged (sum / max) after the phases, and the fault
-// injector's counters are atomic with purely hash-derived decisions.
+// per-worker shards merged (sum / max) after the phases, slots freed in a
+// phase go to the worker's shard and join the slab's free list at the
+// merge, and the fault injector's counters are atomic with purely
+// hash-derived decisions.
 
 import (
 	"sort"
@@ -34,14 +36,16 @@ import (
 	"combining/internal/par"
 )
 
-// netShard is one worker's private slice of the per-cycle statistics,
-// merged into Sim.stats by mergeShards after the phases.  The trailing
-// pad keeps adjacent shards off one cache line: the shards live in a
-// contiguous slice and every worker writes its own on every phase, so
-// unpadded neighbors would false-share at the boundaries.
+// netShard is one worker's private slice of the per-cycle statistics and
+// the slots it freed, merged into Sim.stats and the slab by mergeShards
+// after the phases.  The trailing pad keeps adjacent shards off one cache
+// line: the shards live in a contiguous slice and every worker writes its
+// own on every phase, so unpadded neighbors would false-share at the
+// boundaries.
 type netShard struct {
 	st      Stats
 	orphans int64
+	freed   []handle
 	_       [64]byte
 }
 
@@ -49,22 +53,17 @@ type netShard struct {
 // for the serial worker-0 commit.
 type delivery struct {
 	proc int
-	r    revMsg
+	h    handle
 }
 
-// runPhases is the parallel equivalent of drainReverse + tickMemory +
-// drainForward.  injectAll stays outside: injectors and the retry tracker
-// are single-goroutine by contract.  The pool is handed the phase function
-// bound once at construction (Sim.stepFn), so the cycle loop builds no
-// closures; the workers themselves persist across cycles (started by
-// Run/Drain), so the steady-state cost of a cycle is the channel dispatch
-// and the phase barriers — nothing allocates.
-func (s *Sim) runPhases() {
-	s.pool.Run(s.stepFn)
-	s.mergeShards()
-}
-
-// phaseWorker is the per-worker body of one parallel cycle.
+// phaseWorker is the per-worker body of one parallel cycle: the parallel
+// equivalent of drainReverse + tickMemory + drainForward.  injectAll stays
+// outside: injectors, the retry tracker and the slab's free list are
+// single-goroutine by contract.  The pool is handed this function bound
+// once at construction (Sim.stepFn), so the cycle loop builds no closures;
+// the workers themselves persist across cycles (started by Run/Drain), so
+// the steady-state cost of a cycle is the channel dispatch and the phase
+// barriers — nothing allocates.
 func (s *Sim) phaseWorker(w int) {
 	rot := int(s.Cycle())
 	workers := s.pool.Workers()
@@ -72,11 +71,11 @@ func (s *Sim) phaseWorker(w int) {
 
 	// Reverse, stage 0: split over rotation slots so each worker owns
 	// its delivery buffers; each switch is its own conflict group.
-	n0 := len(s.stages[0])
+	n0 := len(s.stages[0].sw)
 	lo, hi := par.Split(n0, workers, w)
 	for si := lo; si < hi; si++ {
 		s.delivBuf[si] = s.delivBuf[si][:0]
-		s.revSwitch0((si+rot)%n0, &sh.st, &s.delivBuf[si])
+		s.revSwitch0((si+rot)%n0, sh, &s.delivBuf[si])
 	}
 	s.bar.Sync(w)
 
@@ -89,7 +88,7 @@ func (s *Sim) phaseWorker(w int) {
 	if w == 0 {
 		for si := 0; si < n0; si++ {
 			for _, d := range s.delivBuf[si] {
-				s.deliver(d.proc, d.r)
+				s.deliver(d.proc, d.h, sh)
 			}
 		}
 	}
@@ -101,7 +100,7 @@ func (s *Sim) phaseWorker(w int) {
 		groups := s.revGroups[stage]
 		glo, ghi := par.Split(len(groups), workers, w)
 		for g := glo; g < ghi; g++ {
-			s.runRevGroup(stage, groups[g], rot, &sh.st)
+			s.runRevGroup(stage, groups[g], rot, sh)
 		}
 		s.bar.Sync(w)
 	}
@@ -112,17 +111,17 @@ func (s *Sim) phaseWorker(w int) {
 	mlo, mhi := par.Split(ngm, workers, w)
 	for b := mlo; b < mhi; b++ {
 		for j := 0; j < s.radix; j++ {
-			s.tickModule(b*s.radix+j, &sh.st, &sh.orphans)
+			s.tickModule(b*s.radix+j, sh)
 		}
 	}
 	s.bar.Sync(w)
 
 	// Forward, stage k−1: each switch owns its modules and metadata
 	// shards outright, so switch order is free.
-	nsLast := len(s.stages[s.k-1])
+	nsLast := len(s.stages[s.k-1].sw)
 	flo, fhi := par.Split(nsLast, workers, w)
 	for idx := flo; idx < fhi; idx++ {
-		s.fwdSwitch(s.k-1, idx, &sh.st)
+		s.fwdSwitch(s.k-1, idx, sh)
 	}
 	if s.k > 1 {
 		s.bar.Sync(w)
@@ -133,7 +132,7 @@ func (s *Sim) phaseWorker(w int) {
 		groups := s.fwdGroups[stage]
 		glo, ghi := par.Split(len(groups), workers, w)
 		for g := glo; g < ghi; g++ {
-			s.runFwdGroup(stage, groups[g], rot, &sh.st)
+			s.runFwdGroup(stage, groups[g], rot, sh)
 		}
 		if stage > 0 {
 			s.bar.Sync(w)
@@ -145,34 +144,35 @@ func (s *Sim) phaseWorker(w int) {
 // serial rotation order: switch idx sits at rotation slot (idx−rot) mod ns,
 // so with ascending members the serial order is members ≥ rot mod ns first
 // (they have the smaller slots), then the wrapped prefix.
-func (s *Sim) runRevGroup(stage int, members []int, rot int, st *Stats) {
-	ns := len(s.stages[stage])
+func (s *Sim) runRevGroup(stage int, members []int, rot int, sh *netShard) {
+	ns := len(s.stages[stage].sw)
 	split := sort.SearchInts(members, ((rot%ns)+ns)%ns)
 	for _, idx := range members[split:] {
-		s.revSwitch(stage, idx, st)
+		s.revSwitch(stage, idx, sh)
 	}
 	for _, idx := range members[:split] {
-		s.revSwitch(stage, idx, st)
+		s.revSwitch(stage, idx, sh)
 	}
 }
 
 // runFwdGroup processes one forward conflict group of a stage < k−1 in the
 // serial rotation order (same slot arithmetic as runRevGroup).
-func (s *Sim) runFwdGroup(stage int, members []int, rot int, st *Stats) {
-	ns := len(s.stages[stage])
+func (s *Sim) runFwdGroup(stage int, members []int, rot int, sh *netShard) {
+	ns := len(s.stages[stage].sw)
 	split := sort.SearchInts(members, ((rot%ns)+ns)%ns)
 	for _, idx := range members[split:] {
-		s.fwdSwitch(stage, idx, st)
+		s.fwdSwitch(stage, idx, sh)
 	}
 	for _, idx := range members[:split] {
-		s.fwdSwitch(stage, idx, st)
+		s.fwdSwitch(stage, idx, sh)
 	}
 }
 
-// mergeShards folds the per-worker shards into the serial stats after the
-// phases.  The observation multiset equals the serial stepper's, so the
+// mergeShards folds the shards into the serial stats and the slab after
+// the phases.  The observation multiset equals the serial stepper's, so the
 // sums add exactly and the queue high-water merges by max to the same
-// value; shards reset for the next cycle.
+// value; freed slots join the free list in shard order, and the shards
+// reset for the next cycle.
 func (s *Sim) mergeShards() {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -191,6 +191,7 @@ func (s *Sim) mergeShards() {
 			s.stats.MaxOutQueue = sh.st.MaxOutQueue
 		}
 		s.AddOrphans(sh.orphans)
-		*sh = netShard{}
+		s.slab.free = append(s.slab.free, sh.freed...)
+		sh.st, sh.orphans, sh.freed = Stats{}, 0, sh.freed[:0]
 	}
 }

@@ -85,6 +85,12 @@ func (b *Backoff) Pause() {
 	runtime.Gosched()
 }
 
+// Spun reports whether the spin budget is used up, so the next Pause would
+// yield.  Waiters that have a way to block use it to park instead of
+// yielding: with many more waiters than processors a yield only cycles the
+// run queue, and the goroutine the waiter needs may be far back in it.
+func (b *Backoff) Spun() bool { return b.spins >= b.budget }
+
 // Reset restarts the spin budget; call it after the awaited condition fired
 // so the next wait spins again.
 func (b *Backoff) Reset() { b.spins = 0 }

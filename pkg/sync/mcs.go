@@ -13,10 +13,24 @@ import (
 // write that ends the spin is the only remote reference the handoff costs.
 // A QNode may be reused freely once the Acquire/Release pair that used it
 // has completed, but must never be shared by two concurrent acquisitions.
+//
+// wait is 1 while the waiter spins, 2 once it has parked on wake, and 0
+// when the predecessor hands the lock over.
 type QNode struct {
 	next atomic.Pointer[QNode]
 	wait atomic.Uint32
-	_    [par.CacheLine - 12]byte
+	wake chan struct{} // made on the node's first park, reused after
+	_    [par.CacheLine - 24]byte
+}
+
+// park blocks the waiter on q until the handoff, unless it lands first.
+func (q *QNode) park() {
+	if q.wake == nil {
+		q.wake = make(chan struct{}, 1)
+	}
+	if q.wait.CompareAndSwap(1, 2) {
+		<-q.wake
+	}
 }
 
 // MCSLock is a Mellor-Crummey–Scott queue lock: acquisition is a single
@@ -47,10 +61,17 @@ func (l *MCSLock) Acquire(q *QNode) {
 		return // lock was free: no predecessor, no spinning
 	}
 	// Link behind the predecessor, then spin on our own line until the
-	// predecessor's release stores the handoff.
+	// predecessor's release stores the handoff.  Once the spin budget is
+	// gone, park rather than yield: with far more waiters than processors
+	// a yielding waiter keeps the whole queue in the run queue, and each
+	// handoff then waits for the scheduler to cycle round to the successor.
 	pred.next.Store(q)
 	bo := par.NewBackoff()
 	for q.wait.Load() != 0 {
+		if bo.Spun() {
+			q.park()
+			return
+		}
 		bo.Pause()
 	}
 }
@@ -72,7 +93,11 @@ func (l *MCSLock) Release(q *QNode) {
 			bo.Pause()
 		}
 	}
-	next.wait.Store(0) // the single remote write that ends the successor's spin
+	// The single remote write that ends the successor's spin; a parked
+	// successor also needs its wake token.
+	if next.wait.Swap(0) == 2 {
+		next.wake <- struct{}{}
+	}
 }
 
 // Lock acquires the lock using a pooled QNode and returns it; pass the
